@@ -11,7 +11,7 @@ from .cohomology import (
     normalize,
     oracle_normal_form,
 )
-from .errors import InputError, NoKEqualError, TooLarge
+from .errors import CertificateFailure, InputError, NoKEqualError, TooLarge
 from .invariants import (
     InvariantReport,
     betti_closed_form,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CohClass", "RelationInstance", "betti", "cup", "cup_length",
     "monomial_closure", "normalize", "oracle_normal_form",
-    "InputError", "NoKEqualError", "TooLarge",
+    "CertificateFailure", "InputError", "NoKEqualError", "TooLarge",
     "InvariantReport", "betti_closed_form", "cat_formula", "hdim_formula",
     "invariant_report", "tc_formula", "tcs_formula", "verify_range",
     "Path", "SimplicialComplex", "in_conf_complex", "in_conf_k",

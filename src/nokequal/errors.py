@@ -57,6 +57,11 @@ class BaseRuleUndefined(InputError):
     """The supplied base motion-planning rule is undefined at its input."""
 
 
+class CertificateFailure(NoKEqualError):
+    """A certified bound's own check failed: its witness vanished or two
+    independent derivations of the bound disagree."""
+
+
 class TooLarge(NoKEqualError):
     """Requested computation exceeds the configured feasibility bounds."""
 

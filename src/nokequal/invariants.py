@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .cohomology import betti, cup_length
-from .errors import ParameterOutOfRange, RangeViolation, TooLarge
+from .errors import CertificateFailure, ParameterOutOfRange, RangeViolation, TooLarge
 from .tensor import zcl_lower
 
 SPHERE_NOTE = "upper bound from sphere S^{{k-2}}; zcl certificate = {v} only"
@@ -124,8 +124,9 @@ def _entry(closed: int, lower: Optional[int], upper: Optional[int]) -> dict:
 def invariant_report(k: int, n: int, s: int = 2) -> InvariantReport:
     """Compute one grid cell: closed forms plus certified lower bounds.
 
-    Infeasible certificate computations are recorded as skipped, never
-    raised; upper bounds are always quoted from the closed forms.
+    Infeasible certificate computations are recorded as skipped and
+    failed certificate checks as fail, never raised; upper bounds are
+    always quoted from the closed forms.
     """
     cat = cat_formula(k, n)
     hdim = hdim_formula(k, n)
@@ -161,6 +162,9 @@ def invariant_report(k: int, n: int, s: int = 2) -> InvariantReport:
     except TooLarge as exc:
         certs.append(Certificate("zcl_lower", None, "skipped", str(exc)))
         certified[tcs_key] = _entry(target, None, target)
+    except CertificateFailure as exc:
+        certs.append(Certificate("zcl_lower", None, "fail", str(exc)))
+        certified[tcs_key] = dict(_entry(target, None, target), agree=False)
 
     if k < n < 2 * k:
         rank = betti(k, n, 1)

@@ -326,7 +326,9 @@ def classify(p: StringPreorder, k: int) -> PreorderClass:
     blocks = admissible_blocks(p, k)
     if blocks is None:
         return PreorderClass("non_admissible", None, k)
-    basic = all(i_mask and max(elems_of(j_mask | i_mask)) in elems_of(i_mask)
+    # Basic: every I_i holds max(J_i u I_i). I and J are disjoint, so
+    # that is I having the higher top bit (an empty I has none).
+    basic = all(i_mask.bit_length() > j_mask.bit_length()
                 for j_mask, i_mask in blocks)
     return PreorderClass("basic" if basic else "admissible", len(blocks), k)
 

@@ -12,9 +12,10 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Optional
 
-from .cohomology import CohClass, betti, cup, normalize
+from .cohomology import CohClass, cup, normalize
 from .errors import (
     AmbientMismatch,
+    CertificateFailure,
     IndexOutOfRange,
     MalformedSyntax,
     ParameterOutOfRange,
@@ -157,12 +158,15 @@ def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
         raise AmbientMismatch("tensor classes live in different rings")
     k, n, s = a.k, a.n, a.s
     cap = n // k
+    # Slot degrees of every term, classified once per call rather than
+    # once per term pair.
+    a_degrees = [(ta, tuple(classify(p, k).d for p in ta)) for ta in a.terms]
+    b_degrees = [(tb, tuple(classify(p, k).d for p in tb)) for tb in b.terms]
     acc: set[tuple[StringPreorder, ...]] = set()
-    for ta in a.terms:
-        for tb in b.terms:
+    for ta, da in a_degrees:
+        for tb, db in b_degrees:
             # degree bound per slot: more than floor(n/k) blocks is zero
-            if any(classify(pa, k).d + classify(pb, k).d > cap
-                   for pa, pb in zip(ta, tb)):
+            if any(i + j > cap for i, j in zip(da, db)):
                 continue
             slot_terms = [_cup_basics(k, n, pa, pb) for pa, pb in zip(ta, tb)]
             if any(not st for st in slot_terms):
@@ -266,12 +270,21 @@ def expected_witness_term(k: int, n: int, i: int) -> tuple[StringPreorder, Strin
 
 
 def _exhaustive_zcl(k: int, n: int) -> int:
-    """Longest nonzero product of y-type zero-divisors; only for n <= 2k,
-    s=2, where the slot degree bound caps products at two factors."""
+    """Longest nonzero product of distinct y-type zero-divisors, s=2.
+
+    The search runs over products y_{m_1} ... y_{m_r} of distinct
+    divisors from y_m (1 <= m <= n-k+2) and y'_m (m >= 2), in increasing
+    index order. Squares are skipped: over GF(2) y_m^2 = x_m^2 (x) 1 +
+    1 (x) x_m^2, and x_m^2 = 0, so a product with a repeated factor is
+    zero. Products of 2*floor(n/k) factors are not extended: each factor
+    adds one block to one slot and a slot holds at most floor(n/k)
+    blocks, so every longer product is zero.
+    """
     ms = [(m, primed)
           for m in range(1, n - k + 3)
           for primed in ((False, True) if m >= 2 else (False,))]
     divisors = [y(k, n, m, primed) for m, primed in ms]
+    cap = 2 * (n // k)
     best = 0
     stack: list[tuple[TensorClass, int, int]] = [(d, j, 1) for j, d in enumerate(divisors)]
     while stack:
@@ -279,7 +292,9 @@ def _exhaustive_zcl(k: int, n: int) -> int:
         if prod.is_zero:
             continue
         best = max(best, depth)
-        for j2 in range(j, len(divisors)):
+        if depth == cap:
+            continue
+        for j2 in range(j + 1, len(divisors)):
             nxt = tensor_cup(prod, divisors[j2])
             if nxt:
                 stack.append((nxt, j2, depth + 1))
@@ -291,8 +306,13 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
 
     Each bound is backed by an explicitly nonzero product: s*floor(n/k)
     structured factors for n > k, the chain z_{1,1}...z_{1,s-1} for n = k,
-    and nothing below. For n <= 2k with s=2 a small exhaustive search over
-    y-type divisors double-checks the structured bound.
+    and nothing below. For s = 2 and k < n <= 2k, an exhaustive search over
+    products of distinct y-type divisors (_exhaustive_zcl) derives the
+    bound a second way. It can find no more than 2*floor(n/k) factors, by
+    the slot degree bound, and no fewer, since its divisors include every
+    factor of the structured witness; so the two must be equal, and
+    CertificateFailure is raised when they are not, or when a witness
+    product vanishes.
     """
     if s < 2:
         raise ParameterOutOfRange("s must be >= 2")
@@ -303,12 +323,18 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
         prod = factors[0]
         for f in factors[1:]:
             prod = tensor_cup(prod, f)
-        assert prod, "n=k chain product unexpectedly vanished"
+        if not prod:
+            raise CertificateFailure("n=k chain product unexpectedly vanished")
         return s - 1
     i = n // k
     prod = witness_product(k, n, i, s)
-    assert prod, "structured witness product unexpectedly vanished"
+    if not prod:
+        raise CertificateFailure("structured witness product unexpectedly vanished")
     bound = s * i
     if s == 2 and n <= 2 * k:
-        bound = max(bound, _exhaustive_zcl(k, n))
+        searched = _exhaustive_zcl(k, n)
+        if searched != bound:
+            raise CertificateFailure(
+                f"exhaustive zero-divisor search gives {searched}, "
+                f"structured witness gives {bound}")
     return bound

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nokequal import tensor
 from nokequal.cohomology import betti
 from nokequal.errors import ParameterOutOfRange, RangeViolation
 from nokequal.invariants import (
@@ -101,6 +102,16 @@ def test_report_odd_sphere_case_passes():
     r = invariant_report(3, 3, 2)
     zcl = next(c for c in r.certificates if c.name == "zcl_lower")
     assert (zcl.value, zcl.status) == (1, "pass")
+
+
+def test_report_records_a_vanished_witness_as_fail(monkeypatch):
+    monkeypatch.setattr(tensor, "witness_product",
+                        lambda k, n, i, s: tensor.TensorClass.zero(k, n, s))
+    r = invariant_report(3, 7, 2)
+    zcl = next(c for c in r.certificates if c.name == "zcl_lower")
+    assert (zcl.value, zcl.status) == (None, "fail")
+    assert "vanished" in zcl.note
+    assert not r.all_agree
 
 
 def test_json_schema():

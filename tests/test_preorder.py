@@ -14,6 +14,7 @@ from nokequal.preorder import (
     compose,
     count_admissible,
     discrete,
+    elems_of,
     enumerate_admissible,
     enumerate_basic,
     factor_admissible,
@@ -101,6 +102,19 @@ def test_classification():
     c = classify(p, 3)
     assert c.is_admissible and not c.is_basic
     assert classify(parse_preorder("[1,2,3](4)"), 3).kind == "non_admissible"
+
+
+def test_classify_basic_matches_the_definition():
+    # Basic, as defined: every block J_i u I_i has I_i nonempty and holding
+    # the block's maximum. classify decides it by comparing top bits.
+    for k in (3, 4):
+        for n in range(k, 9):
+            for d in range(n // (k - 1) + 1):
+                for p in enumerate_admissible(k, n, d):
+                    literal = all(
+                        i_mask and max(elems_of(j_mask | i_mask)) in elems_of(i_mask)
+                        for j_mask, i_mask in admissible_blocks(p, k))
+                    assert classify(p, k).is_basic == bool(literal), str(p)
 
 
 def test_factor_admissible():

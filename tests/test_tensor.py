@@ -1,10 +1,20 @@
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nokequal.errors import AmbientMismatch, IndexOutOfRange, ParameterOutOfRange
+from nokequal import tensor
+from nokequal.cohomology import CohClass, cup
+from nokequal.errors import (
+    AmbientMismatch,
+    CertificateFailure,
+    IndexOutOfRange,
+    ParameterOutOfRange,
+)
 from nokequal.tensor import (
     TensorClass,
     ZeroDivisorSpec,
+    _exhaustive_zcl,
     expected_witness_term,
     multiplication_image,
     p_witness,
@@ -123,6 +133,63 @@ def test_zcl_lower_values():
     assert zcl_lower(3, 3, 2) == 1
     assert zcl_lower(3, 2, 2) == 0
     assert zcl_lower(4, 4, 3) == 2
+
+
+def _reference_tensor_cup(a, b):
+    # Slotwise cup of every term pair, with no degree shortcut and no cache.
+    k, n = a.k, a.n
+    acc = set()
+    for ta in a.terms:
+        for tb in b.terms:
+            slot_terms = [cup(CohClass.of(k, n, [pa]), CohClass.of(k, n, [pb])).terms
+                          for pa, pb in zip(ta, tb)]
+            for combo in iproduct(*slot_terms):
+                acc ^= {combo}
+    return TensorClass(k, n, a.s, frozenset(acc))
+
+
+def _divisors(k, n, s):
+    return [zero_divisor(ZeroDivisorSpec(k, n, m, q, s, primed))
+            for m in range(1, n - k + 3)
+            for primed in ((False, True) if m >= 2 else (False,))
+            for q in range(1, s)]
+
+
+@pytest.mark.parametrize("k,n,s", [(3, n, s) for n in range(4, 8) for s in (2, 3)]
+                         + [(4, n, 2) for n in range(5, 9)])
+def test_tensor_cup_matches_slotwise_reference(k, n, s):
+    divisors = _divisors(k, n, s)
+    for a in divisors:
+        for b in divisors:
+            assert tensor_cup(a, b).terms == _reference_tensor_cup(a, b).terms, (a, b)
+
+
+def _unpruned_zcl(k, n):
+    # The search with squares and every length expanded, for n <= 2k, s=2.
+    divisors = _divisors(k, n, 2)
+    best = 0
+    stack = [(d, j, 1) for j, d in enumerate(divisors)]
+    while stack:
+        prod, j, depth = stack.pop()
+        if prod.is_zero:
+            continue
+        best = max(best, depth)
+        for j2 in range(j, len(divisors)):
+            nxt = tensor_cup(prod, divisors[j2])
+            if nxt:
+                stack.append((nxt, j2, depth + 1))
+    return best
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5) for n in range(k + 1, 2 * k + 1)])
+def test_pruned_zcl_search_matches_unpruned(k, n):
+    assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == 2 * (n // k)
+
+
+def test_zcl_search_disagreement_is_a_certificate_failure(monkeypatch):
+    monkeypatch.setattr(tensor, "_exhaustive_zcl", lambda k, n: 1)
+    with pytest.raises(CertificateFailure, match="exhaustive"):
+        zcl_lower(3, 5, 2)
 
 
 def test_serialization_roundtrip_and_ascii_alias():
