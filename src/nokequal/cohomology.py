@@ -9,22 +9,20 @@ admissible (every Full block of size k-1) or zero.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
+    CertificateFailure,
     NotAdmissible,
     NotElementary,
-    NotString,
     ParameterOutOfRange,
     RewriteCycle,
     TooLarge,
 )
 from .preorder import (
-    RelationMatrix,
     StringPreorder,
     _assemble,
     admissible_blocks,
@@ -35,10 +33,7 @@ from .preorder import (
     elems_of,
     enumerate_admissible,
     factor_admissible,
-    make_preorder,
-    to_matrix,
-    to_string_form,
-    transitive_closure,
+    single_block,
 )
 
 DEFAULT_ORACLE_CAP = 100_000
@@ -124,33 +119,42 @@ def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
     """Closure of a product of elementary generators.
 
     Returns the admissible closure (one Full block per factor), or None when
-    the product is zero: a repeated factor (exterior square over GF(2)) or a
-    merged Full block of size != k-1.
+    the product is zero. The closure is computed by level arithmetic on the
+    factors' masks (I_f)[J_f](K_f), in closed form:
+
+    A nonzero closure keeps every J_f as its own Full block, so the factors
+    are totally ordered with f below g iff J_f lies in I_g and J_g in K_f,
+    and every element outside the J's sits in K_f for a prefix of that order
+    and in I_f for the rest. Since each factor partitions 1..n, all of this
+    holds iff the factors, listed by strictly growing I, nest: I_f u J_f is
+    contained in I_g for each consecutive pair f, g. The closure is then
+    (I_1)[J_1](K_1 n I_2)[J_2] ... [J_d](K_d), hole i holding the elements
+    that sit above exactly i blocks. Any other product closes some J_f into
+    a class with another element, more than k-1 elements, and is zero; that
+    includes a repeated factor (exterior square over GF(2)), whose I ties
+    with its copy's.
+
+    The generic route (relation matrices, Warshall closure, string form) is
+    kept as the test oracle for this closed form in tests/test_cohomology.py.
     """
     if not factors:
         return discrete(n)
+    masks = []
     for f in factors:
         if f.n != n:
             raise AmbientMismatch("factor has wrong ambient size")
         if not classify(f, k).is_elementary:
             raise NotElementary(f"{f} is not elementary for k={k}")
-    if len(set(factors)) != len(factors):
-        return None
-    rows = [0] * n
-    for f in factors:
-        for i, row in enumerate(to_matrix(f).rows):
-            rows[i] |= row
-    closed = transitive_closure(n, rows)
-    try:
-        p = to_string_form(RelationMatrix(n, closed))
-    except NotString:
-        # Not expected in practice; a non-string closure cannot be admissible.
-        return None
-    blocks = admissible_blocks(p, k)
-    if blocks is None:
-        return None
-    assert len(blocks) == len(factors)
-    return p
+        masks.append(single_block(f))
+    masks.sort(key=lambda ijk: ijk[0].bit_count())
+    parts = [(masks[0][0], False)]
+    for (i_lo, j_lo, k_lo), (i_hi, _, _) in zip(masks, masks[1:]):
+        if (i_lo | j_lo) & ~i_hi:
+            return None
+        parts += [(j_lo, True), (k_lo & i_hi, False)]
+    _, j_top, k_top = masks[-1]
+    parts += [(j_top, True), (k_top, False)]
+    return _assemble(n, parts)
 
 
 _nf_memo: dict[tuple[int, StringPreorder], frozenset] = {}
@@ -165,21 +169,12 @@ def normalize(p: StringPreorder, k: int) -> CohClass:
     exchanges m out of the bracket into the suffix; the replacement factors
     are re-closed against the remaining ones and the process recurses.
     Degrees above floor(n/k) vanish outright (no basic preorders exist
-    there). Cycles fall back to the Gaussian-elimination oracle.
+    there). Revisiting a preorder still being rewritten raises RewriteCycle;
+    no sweep has found one.
     """
     if admissible_blocks(p, k) is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20_000))
-    try:
-        terms = _nf(p, k, set())
-    except RewriteCycle:
-        d = len(admissible_blocks(p, k))
-        oracle = oracle_normal_form(k, p.n, d)
-        terms = oracle.normal_form[p]
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return CohClass(k, p.n, terms)
+    return CohClass(k, p.n, _nf(p, k, set()))
 
 
 def _nf(p: StringPreorder, k: int, active: set) -> frozenset:
@@ -285,6 +280,7 @@ def cup_length(k: int, n: int) -> int:
     [1..k-1](k)[k+1..2k-1](2k)...[(q-1)k+1..qk-1](qk..n) with q = floor(n/k)
     (a basis element, hence nonzero), and above by the grading bound: any
     product of more than floor(n/k) blocks lands in a vanishing degree.
+    Both checks always run and raise CertificateFailure when they fail.
     """
     if not 3 <= k:
         raise ParameterOutOfRange("k must be >= 3")
@@ -292,8 +288,10 @@ def cup_length(k: int, n: int) -> int:
     if q == 0:
         return 0
     w = cat_witness(k, n)
-    assert classify(w, k).is_basic
-    assert betti(k, n, q + 1) == 0
+    if not classify(w, k).is_basic:
+        raise CertificateFailure(f"cat witness {w} is not a basic preorder")
+    if betti(k, n, q + 1):
+        raise CertificateFailure(f"degree {q + 1} is nonzero: the grading bound fails")
     return q
 
 

@@ -69,6 +69,6 @@ class TooLarge(NoKEqualError):
 class RewriteCycle(NoKEqualError):
     """The rewriting strategy revisited an in-progress preorder.
 
-    Correctness never depends on the strategy: callers fall back to the
-    Gaussian-elimination oracle when this is raised.
+    No sweep has produced one, and there is no fallback: normalize raises
+    it to the caller.
     """

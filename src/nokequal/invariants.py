@@ -145,6 +145,9 @@ def invariant_report(k: int, n: int, s: int = 2) -> InvariantReport:
     except TooLarge as exc:
         certs.append(Certificate("cat_lower", None, "skipped", str(exc)))
         certified["cat"] = _entry(cat, None, cat)
+    except CertificateFailure as exc:
+        certs.append(Certificate("cat_lower", None, "fail", str(exc)))
+        certified["cat"] = dict(_entry(cat, None, cat), agree=False)
 
     tcs_key = "tcs" if s > 2 else "tc"
     try:

@@ -516,8 +516,7 @@ def single_block(p: StringPreorder) -> tuple[int, int, int]:
 
 def nested_product(p: StringPreorder, q: StringPreorder) -> StringPreorder:
     """Closed form (I)[J](K n I')[J'](K') for single-block operands with
-    I u J contained in I'. Test oracle for compose; also used by the
-    Gaussian-elimination oracle where the inclusion holds by construction."""
+    I u J contained in I'. Test oracle for compose."""
     if p.n != q.n:
         raise AmbientMismatch("ambient sizes differ")
     i1, j1, k1 = single_block(p)

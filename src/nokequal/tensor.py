@@ -12,12 +12,13 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Optional
 
-from .cohomology import CohClass, cup, normalize
+from .cohomology import CohClass, cup, monomial_closure, normalize
 from .errors import (
     AmbientMismatch,
     CertificateFailure,
     IndexOutOfRange,
     MalformedSyntax,
+    NotAdmissible,
     ParameterOutOfRange,
 )
 from .preorder import StringPreorder, classify, discrete, make_x, parse_preorder
@@ -137,8 +138,8 @@ def zero_divisor(spec: ZeroDivisorSpec) -> TensorClass:
     first = TensorClass.pure([x if j == spec.q else one for j in range(1, s + 1)], k, n)
     last = TensorClass.pure([x if j == s else one for j in range(1, s + 1)], k, n)
     z = first + last
-    image = multiplication_image(z)
-    assert image.is_zero, "zero-divisor escaped the kernel of multiplication"
+    if multiplication_image(z):
+        raise CertificateFailure("zero-divisor escaped the kernel of multiplication")
     return z
 
 
@@ -153,7 +154,10 @@ def _cup_basics(k: int, n: int, a: StringPreorder, b: StringPreorder) -> frozens
 
 
 def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
-    """Slotwise cup product (no signs over GF(2)), bilinear over terms."""
+    """Slotwise cup product (no signs over GF(2)), bilinear over terms.
+
+    Raises NotAdmissible when a term holds a non-admissible preorder.
+    """
     if (a.k, a.n, a.s) != (b.k, b.n, b.s):
         raise AmbientMismatch("tensor classes live in different rings")
     k, n, s = a.k, a.n, a.s
@@ -162,6 +166,10 @@ def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
     # once per term pair.
     a_degrees = [(ta, tuple(classify(p, k).d for p in ta)) for ta in a.terms]
     b_degrees = [(tb, tuple(classify(p, k).d for p in tb)) for tb in b.terms]
+    for t, degrees in a_degrees + b_degrees:
+        if None in degrees:
+            raise NotAdmissible(
+                f"term {TENSOR_SIGN.join(map(str, t))} is not admissible for k={k}")
     acc: set[tuple[StringPreorder, ...]] = set()
     for ta, da in a_degrees:
         for tb, db in b_degrees:
@@ -242,28 +250,29 @@ def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
         factors.append(make_x(2 * j * k + 1, k, n, primed=not swap))
     if not odd:
         factors.append(make_x((2 * a - 1) * k + 1, k, n, primed=swap))
-    from .cohomology import monomial_closure
+    return CohClass.of(k, n, [_basic_closure(factors, k, n)])
 
+
+def _basic_closure(factors: list[StringPreorder], k: int, n: int) -> StringPreorder:
+    """Closure of a witness monomial, checked to be a basic preorder (a
+    basis element, hence a nonzero class)."""
     mono = monomial_closure(factors, k, n)
-    assert mono is not None and classify(mono, k).is_basic
-    return CohClass.of(k, n, [mono])
+    if mono is None or not classify(mono, k).is_basic:
+        raise CertificateFailure(
+            f"witness monomial {'*'.join(map(str, factors))} closes to {mono}, "
+            "not a basic preorder")
+    return mono
 
 
 def expected_witness_term(k: int, n: int, i: int) -> tuple[StringPreorder, StringPreorder]:
     """The designated tensor basis element of the s=2 witness product:
     prod x_{(j-1)k+1} ⊗ prod x_{(j-1)k+2} when ik < n, else p_{i,1}⊗p_{i,2}."""
-    from .cohomology import monomial_closure
-
     if i * k > n:
         raise ParameterOutOfRange("need ik <= n")
     if i * k < n:
-        out = []
-        for off in (1, 2):
-            mono = monomial_closure(
-                [make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)], k, n)
-            assert mono is not None and classify(mono, k).is_basic
-            out.append(mono)
-        return out[0], out[1]
+        return tuple(_basic_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
+                                    k, n)
+                     for off in (1, 2))
     (p1,) = p_witness(i, 1, k, n).terms
     (p2,) = p_witness(i, 2, k, n).terms
     return p1, p2

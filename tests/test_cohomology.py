@@ -1,6 +1,13 @@
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nokequal
+from nokequal import cohomology
 from nokequal.cohomology import (
     CohClass,
     RelationInstance,
@@ -13,14 +20,32 @@ from nokequal.cohomology import (
     oracle_normal_form,
     relation_instances,
 )
-from nokequal.errors import NotAdmissible, ParameterOutOfRange, TooLarge
+from nokequal.errors import (
+    AmbientMismatch,
+    CertificateFailure,
+    NotAdmissible,
+    NotElementary,
+    NotString,
+    ParameterOutOfRange,
+    TooLarge,
+)
+from nokequal.invariants import invariant_report
 from nokequal.preorder import (
+    RelationMatrix,
+    admissible_blocks,
     classify,
     discrete,
     enumerate_admissible,
     enumerate_basic,
+    factor_admissible,
+    make_preorder,
     make_x,
+    mask_of,
     parse_preorder,
+    single_block,
+    to_matrix,
+    to_string_form,
+    transitive_closure,
 )
 
 
@@ -53,6 +78,95 @@ def test_monomial_closure_empty_product_is_unit():
     assert monomial_closure([], 3, 5) == discrete(5)
 
 
+def warshall_closure(factors, k, n):
+    """The closure through relation matrices: union of the factors'
+    relations, Warshall, then the string form. Oracle for the closed form."""
+    if not factors:
+        return discrete(n)
+    for f in factors:
+        if f.n != n:
+            raise AmbientMismatch("factor has wrong ambient size")
+        if not classify(f, k).is_elementary:
+            raise NotElementary(f"{f} is not elementary for k={k}")
+    if len(set(factors)) != len(factors):
+        return None
+    rows = [0] * n
+    for f in factors:
+        for i, row in enumerate(to_matrix(f).rows):
+            rows[i] |= row
+    closed = transitive_closure(n, rows)
+    try:
+        p = to_string_form(RelationMatrix(n, closed))
+    except NotString:
+        # Not expected in practice; a non-string closure cannot be admissible.
+        return None
+    blocks = admissible_blocks(p, k)
+    if blocks is None:
+        return None
+    assert len(blocks) == len(factors)
+    return p
+
+
+def random_admissible(rng, k, n, d):
+    """A random admissible preorder with d blocks: random elements in the
+    J's, every other element in a random hole."""
+    elems = rng.sample(range(1, n + 1), n)
+    holes = [[] for _ in range(d + 1)]
+    for e in elems[d * (k - 1):]:
+        holes[rng.randrange(d + 1)].append(e)
+    levels = [(mask_of(holes[0]), False)]
+    for i in range(d):
+        levels += [(mask_of(elems[i * (k - 1):(i + 1) * (k - 1)]), True),
+                   (mask_of(holes[i + 1]), False)]
+    return make_preorder(n, [(m, full) for m, full in levels if m])
+
+
+def random_factor_list(rng, k, n, length):
+    """Factors of a random admissible product, shuffled; half the time one
+    factor is then disturbed (a free element moved across its block, a
+    factor replaced by a random one, or a factor repeated)."""
+    if length * (k - 1) > n:
+        return [factor_admissible(random_admissible(rng, k, n, 1), k)[0]
+                for _ in range(length)]
+    factors = factor_admissible(random_admissible(rng, k, n, length), k)
+    rng.shuffle(factors)
+    how = rng.randrange(6)
+    i = rng.randrange(length)
+    if how == 0:
+        i_mask, j_mask, k_mask = single_block(factors[i])
+        bit = 1 << (rng.choice([e for e in range(1, n + 1) if not j_mask >> (e - 1) & 1]) - 1)
+        levels = [(i_mask ^ bit, False), (j_mask, True), (k_mask ^ bit, False)]
+        factors[i] = make_preorder(n, [(m, full) for m, full in levels if m])
+    elif how == 1:
+        factors[i] = factor_admissible(random_admissible(rng, k, n, 1), k)[0]
+    elif how == 2:
+        factors[i] = factors[(i + 1) % length]
+    return factors
+
+
+def test_closed_form_matches_warshall_on_every_pair():
+    for k, n in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5)):
+        elementary = list(enumerate_admissible(k, n, 1))
+        for f in elementary:
+            for g in elementary:
+                assert monomial_closure([f, g], k, n) == warshall_closure([f, g], k, n), (f, g)
+
+
+def test_closed_form_matches_warshall_on_seeded_lists():
+    rng = random.Random(20260418)
+    nonzero = 0
+    for _ in range(20_000):
+        k, length = rng.randint(3, 5), rng.randint(3, 5)
+        need = length * (k - 1)
+        n = rng.randint(need, 10) if need <= 10 else rng.randint(k, 10)
+        factors = random_factor_list(rng, k, n, length)
+        closed = monomial_closure(factors, k, n)
+        assert closed == warshall_closure(factors, k, n), factors
+        nonzero += closed is not None
+    # both outcomes are exercised in bulk
+    assert 3_000 < nonzero < 17_000
+
+
 def test_normalize_basic_is_fixed():
     p = parse_preorder("(1)[2,3](4)")
     assert normalize(p, 3).terms == frozenset([p])
@@ -66,6 +180,23 @@ def test_normalize_worked_example():
 def test_normalize_rejects_non_admissible():
     with pytest.raises(NotAdmissible):
         normalize(parse_preorder("[1,2,3](4)"), 3)
+
+
+def test_normalize_top_degree_at_n18_under_the_default_recursion_limit():
+    # shaped like a top-degree basic preorder, [J_1](i_1)...[J_6](i_6), with
+    # shuffled elements, so most blocks need rewriting
+    k, n = 3, 18
+    limit = sys.getrecursionlimit()
+    rng = random.Random(18)
+    for _ in range(20):
+        elems = rng.sample(range(1, n + 1), n)
+        levels = []
+        for i in range(0, n, k):
+            levels += [(mask_of(elems[i:i + k - 1]), True), (mask_of(elems[i + k - 1:i + k]), False)]
+        out = normalize(make_preorder(n, levels), k)
+        assert out.terms
+        assert all(classify(t, k).is_basic and classify(t, k).d == n // k for t in out.terms)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_normalize_overflow_degree_is_zero():
@@ -140,6 +271,35 @@ def test_cup_length_examples():
     assert cup_length(3, 7) == 2
     assert cup_length(4, 9) == 2
     assert cup_length(5, 5) == 1
+
+
+def test_cup_length_raises_when_the_grading_bound_fails(monkeypatch):
+    monkeypatch.setattr(cohomology, "betti", lambda k, n, d: 1)
+    with pytest.raises(CertificateFailure):
+        cup_length(3, 7)
+    r = invariant_report(3, 7, 2)
+    cat = next(c for c in r.certificates if c.name == "cat_lower")
+    assert (cat.value, cat.status) == (None, "fail")
+    assert not r.all_agree
+
+
+CHECK_UNDER_O = """
+from nokequal import CertificateFailure, cohomology
+assert False, "assert statements must be stripped"
+cohomology.betti = lambda k, n, d: 1
+try:
+    cohomology.cup_length(3, 7)
+except CertificateFailure:
+    print("raised")
+"""
+
+
+def test_cup_length_certificate_survives_python_O():
+    src = str(Path(nokequal.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", CHECK_UNDER_O],
+                         env={"PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "raised"
 
 
 def test_cat_witness_matches_display():

@@ -9,8 +9,10 @@ from nokequal.errors import (
     AmbientMismatch,
     CertificateFailure,
     IndexOutOfRange,
+    NotAdmissible,
     ParameterOutOfRange,
 )
+from nokequal.preorder import discrete, parse_preorder
 from nokequal.tensor import (
     TensorClass,
     ZeroDivisorSpec,
@@ -46,6 +48,12 @@ def test_zero_divisor_kernel():
         assert multiplication_image(y(3, 5, m)).is_zero
 
 
+def test_zero_divisor_outside_the_kernel_is_a_certificate_failure(monkeypatch):
+    monkeypatch.setattr(tensor, "multiplication_image", lambda t: CohClass.unit(t.k, t.n))
+    with pytest.raises(CertificateFailure, match="kernel"):
+        y(3, 5, 1)
+
+
 def test_zero_divisor_boundary_generator_is_normalized():
     # x_{n-k+2} is elementary but not basic; the class is rewritten first
     z = y(3, 5, 4)
@@ -74,6 +82,14 @@ def test_y1_squared_is_zero():
 
 def test_y1_y2_vanishes_at_n_equals_k():
     assert tensor_cup(y(3, 3, 1), y(3, 3, 2)).is_zero
+
+
+def test_tensor_cup_rejects_a_non_admissible_term():
+    bad = TensorClass(3, 4, 2, frozenset([(parse_preorder("[1,2,3](4)"), discrete(4))]))
+    with pytest.raises(NotAdmissible, match=r"\[1,2,3\]\(4\)⊗\(1,2,3,4\)"):
+        tensor_cup(bad, y(3, 4, 1))
+    with pytest.raises(NotAdmissible):
+        tensor_cup(y(3, 4, 1), bad)
 
 
 def test_ambient_mismatch():
@@ -119,6 +135,14 @@ def test_p_witness_values():
     assert str(next(iter(p_witness(2, 1, 3, 6).terms))) == "[1,2](3)[4,5](6)"
     assert str(next(iter(p_witness(2, 2, 3, 6).terms))) == "[1,2](4)[3,5](6)"
     assert str(next(iter(p_witness(3, 1, 3, 9).terms))) == "[1,2](3)[4,5](7)[6,8](9)"
+
+
+def test_witness_monomial_that_is_not_basic_is_a_certificate_failure(monkeypatch):
+    monkeypatch.setattr(tensor, "monomial_closure", lambda factors, k, n: None)
+    with pytest.raises(CertificateFailure):
+        p_witness(2, 1, 3, 6)
+    with pytest.raises(CertificateFailure):
+        expected_witness_term(3, 7, 2)
 
 
 def test_p_witness_requires_exact_multiple():
