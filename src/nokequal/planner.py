@@ -7,8 +7,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import sqrt
+from functools import cached_property
+from itertools import combinations, compress
+from math import lcm, sqrt
+from operator import eq
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -19,7 +21,6 @@ from .errors import (
 )
 
 Configuration = Sequence[float]
-EPS = 1e-9
 
 
 def in_conf_k(x: Configuration, k: int) -> bool:
@@ -73,6 +74,11 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> list[frozenset[int]]:
         """Inclusion-minimal subsets of {1..n} that are not faces."""
+        return list(self._minimal_nonfaces)
+
+    @cached_property
+    def _minimal_nonfaces(self) -> tuple[frozenset[int], ...]:
+        # computed once per complex: the scan visits all 2^n subsets
         out = []
         for size in range(1, self.n + 1):
             for c in combinations(range(1, self.n + 1), size):
@@ -81,14 +87,14 @@ class SimplicialComplex:
                     continue
                 if all(s - {v} in self.faces for v in s):
                     out.append(s)
-        return out
+        return tuple(out)
 
 
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
     """True iff no minimal non-face of K indexes an all-equal block of x."""
     if len(x) != K.n:
         raise DimensionMismatch(f"{len(x)} coordinates for {K.n} vertices")
-    for sigma in K.minimal_nonfaces():
+    for sigma in K._minimal_nonfaces:
         vals = {x[i - 1] for i in sigma}
         if len(vals) == 1:
             return False
@@ -106,7 +112,9 @@ def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
     diffs = [float(xi - last) for xi in x]
     # scaled norm: squaring subnormal differences would underflow to zero
     peak = max(abs(d) for d in diffs)
-    assert peak > 0, "scale can vanish only on a total collision"
+    if peak == 0:
+        # distinct exact coordinates whose differences underflow as floats
+        raise ParameterOutOfRange("coordinate differences underflow to 0.0")
     norm = peak * sqrt(sum((d / peak) ** 2 for d in diffs))
     return tuple(d / norm for d in diffs), norm, float(last)
 
@@ -161,52 +169,47 @@ class Path:
         return Path(self.points[::-1])
 
 
-def _is_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-               for v in values)
+def _ratio(v) -> tuple[int, int]:
+    try:
+        return v.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise NotInSpace(f"coordinate {v!r} is not a finite real") from None
 
 
 def _collision_time(x: Configuration, y: Configuration,
-                    idxs: Sequence[int], eps: float = EPS):
+                    idxs: Sequence[int]) -> Optional[Fraction]:
     """First time t in [0,1] at which the coordinates indexed by idxs (1-based)
     are all equal along the segment [x, y], or None.
 
-    Exact rational arithmetic when every involved coordinate is an int or
-    Fraction; otherwise floating point with an absolute eps on the
-    all-equal residual. The boundary between the planner's two domains is
-    measure zero, where floats alone cannot be trusted.
+    Exact rational arithmetic throughout: every coordinate, a float
+    included, is the rational it denotes, and all of them are put over one
+    common denominator so that the solve runs on integers. The answer does
+    not depend on the scale of the coordinates; the boundary between the
+    planner's two domains is measure zero, where a tolerance would decide
+    it by scale.
     """
     ids = sorted(idxs)
-    coords = [v for i in ids for v in (x[i - 1], y[i - 1])]
-    pairs = []
-    for i, j in zip(ids, ids[1:]):
-        a = x[i - 1] - x[j - 1]
-        b = (y[i - 1] - y[j - 1]) - a
-        pairs.append((a, b))
-    if _is_exact(*coords):
-        t = None
-        for a, b in pairs:
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            t0 = Fraction(-a, b)
-            if t is None:
-                t = t0
-            elif t != t0:
+    ratios = [_ratio(z[i - 1]) for z in (x, y) for i in ids]
+    den = lcm(*(d for _, d in ratios))
+    nums = [n * (den // d) for n, d in ratios]
+    xs, ys = nums[:len(ids)], nums[len(ids):]
+    t = None  # (numerator, positive denominator)
+    for xi, xj, yi, yj in zip(xs, xs[1:], ys, ys[1:]):
+        a = xi - xj
+        b = (yi - yj) - a
+        if b == 0:
+            if a != 0:
                 return None
+            continue
+        if b < 0:
+            a, b = -a, -b
         if t is None:
-            return Fraction(0)  # the whole segment is collided
-        return t if 0 <= t <= 1 else None
-    a0, b0 = max(pairs, key=lambda ab: abs(ab[1]))
-    if abs(b0) < 1e-300:
-        return 0.0 if all(abs(a) <= eps for a, _ in pairs) else None
-    t = -a0 / b0
-    if not -eps <= t <= 1 + eps:
-        return None
-    t = min(max(t, 0.0), 1.0)
-    pt = [x[i - 1] + t * (y[i - 1] - x[i - 1]) for i in ids]
-    return t if max(pt) - min(pt) <= eps else None
+            t = (-a, b)
+        elif -a * t[1] != t[0] * b:
+            return None
+    if t is None:
+        return Fraction(0)  # the whole segment is collided
+    return Fraction(*t) if 0 <= t[0] <= t[1] else None
 
 
 def _cross(u: Sequence[float], v: Sequence[float]) -> tuple:
@@ -270,12 +273,34 @@ def pullback_rule(alpha: Callable, beta: Callable, homotopy_H: Callable,
     return Path(tuple(pts))
 
 
+def _sampled_ok(a: Configuration, b: Configuration, ts: list[float],
+                member: Callable[[tuple], bool]) -> bool:
+    """True iff member holds at every point a + t(b - a), t in ts.
+
+    Coordinate i runs through the column float(a_i) + t * float(b_i - a_i),
+    the floats that a_i + t * (b_i - a_i) gives for int, float and Fraction
+    operands. A point can leave the space only where two coordinates agree
+    (every collision pattern has at least two vertices), so member is asked
+    only at the times where some pair of columns is equal.
+    """
+    cols = [[fa + t * d for t in ts]
+            for fa, d in ((float(ai), float(bi - ai)) for ai, bi in zip(a, b))]
+    hits = set()
+    for ci, cj in combinations(cols, 2):
+        if any(map(eq, ci, cj)):
+            hits.update(compress(range(len(ts)), map(eq, ci, cj)))
+    return all(member(tuple(col[i] for col in cols)) for i in sorted(hits))
+
+
 def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
                   samples: int = 256, strict: bool = False) -> bool:
     """Check that a path stays inside the configuration space.
 
     Sampled mode checks `samples` uniform points per segment (endpoints
-    included). Strict mode additionally solves, per segment and per
+    included): each coordinate is evaluated as one column over all sample
+    times, and the full membership test runs only at the times where two
+    columns are equal, since a point with pairwise distinct coordinates is
+    in every space. Strict mode additionally solves, per segment and per
     collision pattern, the all-equal linear system exactly; it catches
     crossings that land between samples.
     """
@@ -290,13 +315,13 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     else:
         k = constraint
         patterns = [frozenset(c) for c in combinations(range(1, dim + 1), k)]
+        if k < 2:
+            raise ParameterOutOfRange("k must be >= 2")
         member = lambda pt: in_conf_k(pt, k)
+    ts = [i / (samples - 1) for i in range(samples)]
     for a, b in path.pieces:
-        for i in range(samples):
-            t = i / (samples - 1)
-            pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
-            if not member(pt):
-                return False
+        if not _sampled_ok(a, b, ts, member):
+            return False
         if strict:
             for sigma in patterns:
                 if _collision_time(a, b, sorted(sigma)) is not None:

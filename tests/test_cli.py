@@ -77,6 +77,16 @@ def test_plan(capsys):
     assert payload["path"][0] == [0, 1, 2]
 
 
+def test_plan_domain_does_not_depend_on_scale(capsys):
+    # the pair (1,2,3), (3,1,2) goes straight at scale 1, and so at 2^-40
+    tiny = 2.0 ** -40
+    pair = json.dumps([[v * tiny for v in (1, 2, 3)], [v * tiny for v in (3, 1, 2)]])
+    code, out, _ = run(capsys, "plan", "--pair", pair)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["domain"], payload["valid"]) == (0, True)
+
+
 def test_check_k(capsys):
     code, out, _ = run(capsys, "check", "--config", "[5,5,7]", "--k", "3")
     assert (code, out.strip()) == (0, "true")
@@ -128,6 +138,13 @@ def test_bad_json_is_exit_2(capsys):
 def test_collided_endpoint_is_exit_2(capsys):
     code, _, _ = run(capsys, "plan", "--pair", "[[1,1,1],[0,1,2]]")
     assert code == 2
+
+
+def test_non_finite_coordinate_is_exit_2(capsys):
+    for pair in ("[[0,1,Infinity],[2,1,0]]", "[[0,1,2],[NaN,1,0]]"):
+        code, _, err = run(capsys, "plan", "--pair", pair)
+        assert code == 2
+        assert "finite" in err
 
 
 def test_too_large_is_exit_3(capsys):

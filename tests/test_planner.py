@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from nokequal.errors import (
 from nokequal.planner import (
     Path,
     SimplicialComplex,
+    _collision_time,
     in_conf_complex,
     in_conf_k,
     inverse_reduce,
@@ -39,6 +41,9 @@ def test_complex_downward_closure_from_facets():
 
 def test_minimal_nonfaces_examples():
     edges = SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
+    assert edges.minimal_nonfaces() == [frozenset([1, 2, 3])]
+    # computed once, but every call hands out its own list
+    edges.minimal_nonfaces().clear()
     assert edges.minimal_nonfaces() == [frozenset([1, 2, 3])]
     full = SimplicialComplex.skeleton(4, 3)
     assert full.minimal_nonfaces() == []
@@ -96,6 +101,12 @@ def test_reduce_fixed_points():
 def test_reduce_rejects_triple_collision():
     with pytest.raises(NotInSpace):
         reduce_to_xn((2, 2, 2, 5))
+
+
+def test_reduce_rejects_differences_below_float_range():
+    tiny = Fraction(1, 10 ** 400)
+    with pytest.raises(ParameterOutOfRange):
+        reduce_to_xn((0, tiny, 2 * tiny))
 
 
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=8))
@@ -163,6 +174,44 @@ def test_plan_exact_rational_boundary():
     assert validate_path(path, 3, strict=True)
 
 
+def test_plan_rejects_non_finite_coordinates():
+    with pytest.raises(NotInSpace):
+        plan_conf3_3((0, 1, float("inf")), (2, 1, 0))
+    with pytest.raises(NotInSpace):
+        plan_conf3_3((0, 1, 2), (float("nan"), 1, 0))
+
+
+_dyadic = st.builds(lambda n, m: n / 2 ** m,
+                    st.integers(-2 ** 20, 2 ** 20), st.integers(0, 20))
+_coord = _dyadic | st.floats(-8, 8).filter(lambda v: v == 0 or abs(v) > 1e-6)
+_triple = st.tuples(_coord, _coord, _coord)
+
+
+@st.composite
+def _pairs(draw):
+    x = draw(_triple)
+    if draw(st.booleans()):
+        # y = 2c(1,1,1) - x crosses the diagonal at t = 1/2
+        c = draw(_dyadic)
+        return x, tuple(2 * c - v for v in x)
+    return x, draw(_triple)
+
+
+@given(_pairs(), st.integers(-60, 60))
+@settings(max_examples=300, deadline=None)
+def test_plan_is_invariant_under_power_of_two_scaling(pair, j):
+    x, y = pair
+    if not (in_conf_k(x, 3) and in_conf_k(y, 3)):
+        return
+    s = 2.0 ** j
+    domain, path = plan_conf3_3(x, y)
+    scaled_domain, scaled_path = plan_conf3_3(tuple(s * v for v in x),
+                                              tuple(s * v for v in y))
+    assert scaled_domain == domain
+    assert (validate_path(scaled_path, 3, strict=True)
+            == validate_path(path, 3, strict=True))
+
+
 def test_parallel_to_diagonal_is_direct():
     # y - x proportional to (1,1,1) can never reach the diagonal
     domain, path = plan_conf3_3((0, 1, 2), (5, 6, 7))
@@ -175,6 +224,143 @@ def test_validate_catches_midpoint_collision():
     assert not validate_path(seg, 3, strict=True)
     # coarse sampling alone can also see this crossing
     assert not validate_path(seg, 3, samples=3)
+
+
+def test_validate_rejects_k_below_2_on_a_clear_path():
+    with pytest.raises(ParameterOutOfRange):
+        validate_path(Path.through((0, 1, 2), (3, 5, 4)), 1)
+
+
+def sampled_validate_path(path, constraint, samples=256, strict=False):
+    """validate_path as it was before sample screening: a tuple and a Counter
+    for every sample point. Kept as the oracle of the screened check; its
+    strict part calls the current exact solver."""
+    if samples < 2:
+        raise ParameterOutOfRange("samples must be >= 2")
+    dim = len(path.start)
+    if isinstance(constraint, SimplicialComplex):
+        if dim != constraint.n:
+            raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
+        patterns = constraint.minimal_nonfaces()
+        member = lambda pt: in_conf_complex(pt, constraint)
+    else:
+        k = constraint
+        patterns = [frozenset(c) for c in combinations(range(1, dim + 1), k)]
+        member = lambda pt: in_conf_k(pt, k)
+    for a, b in path.pieces:
+        for i in range(samples):
+            t = i / (samples - 1)
+            pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+            if not member(pt):
+                return False
+        if strict:
+            for sigma in patterns:
+                if _collision_time(a, b, sorted(sigma)) is not None:
+                    return False
+    return True
+
+
+ORACLE_COMPLEXES = (
+    SimplicialComplex.skeleton(5, 1),  # Conf_3(R, 5)
+    SimplicialComplex.skeleton(6, 2),  # Conf_4(R, 6)
+    SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]]),
+    SimplicialComplex.from_facets(4, [[1, 2, 3]]),
+    SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [4, 5]]),
+)
+
+
+def _oracle_coordinate(rng, kind, scale, grid):
+    if kind == "float":
+        return scale * rng.uniform(-1, 1)
+    if kind == "grid":  # dyadic, so sampled columns can meet exactly
+        return grid * rng.randint(-4, 4) / 4
+    if kind == "int":
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 7)))
+
+
+def oracle_cases(seed, count):
+    """A seeded stream of (path, constraint, samples): floats at scales
+    1e-12..1e6, ints, Fractions and mixtures, with forced collisions at
+    endpoints, through a common point at t = 1/2, and along whole segments."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.3:
+            constraint = rng.choice(ORACLE_COMPLEXES)
+            dim = constraint.n
+        else:
+            dim = rng.randint(3, 5)
+            constraint = rng.randint(2, dim)
+        scale = 10 ** rng.uniform(-12, 6)
+        grid = 2.0 ** rng.randint(-40, 20)
+        kinds = rng.choice((["float"], ["grid"], ["int"], ["fraction"],
+                            ["float", "grid", "int", "fraction"]))
+        points = [[_oracle_coordinate(rng, rng.choice(kinds), scale, grid)
+                   for _ in range(dim)] for _ in range(rng.randint(2, 4))]
+        s = rng.randrange(len(points) - 1)
+        a, b = points[s], points[s + 1]
+        block = rng.sample(range(dim), rng.randint(2, dim))
+        force = rng.randrange(5)
+        if force == 1:  # a shared value at one endpoint
+            for i in block:
+                a[i] = a[block[0]]
+        elif force == 2:  # every coordinate of the block meets at t = 1/2
+            c = a[block[0]]
+            for i in block:
+                a[i], b[i] = c + b[i], c - b[i]
+        elif force == 3:  # collided along the whole segment
+            for i in block:
+                a[i], b[i] = a[block[0]], b[block[0]]
+        elif force == 4:  # a constant segment
+            points[s + 1] = list(a)
+        path = Path.through(*points)
+        yield path, constraint, rng.choice((2, 3, 8, 9, 64, 255, 256))
+
+
+def test_screened_sampling_matches_the_counter_oracle():
+    checked = rejected = 0
+    for path, constraint, samples in oracle_cases(2026, 2000):
+        for strict in (False, True):
+            want = sampled_validate_path(path, constraint, samples, strict)
+            got = validate_path(path, constraint, samples, strict)
+            assert got == want, (path.points, constraint, samples, strict)
+            checked += 1
+            rejected += not got
+    # the stream must exercise both verdicts
+    assert 0.2 < rejected / checked < 0.8
+
+
+def fraction_collision_time(x, y, idxs):
+    """The exact solve on Fractions, one pair of coordinates at a time."""
+    ids = sorted(idxs)
+    t = None
+    for i, j in zip(ids, ids[1:]):
+        a = Fraction(x[i - 1]) - Fraction(x[j - 1])
+        b = Fraction(y[i - 1]) - Fraction(y[j - 1]) - a
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        if t is None:
+            t = -a / b
+        elif t != -a / b:
+            return None
+    if t is None:
+        return Fraction(0)
+    return t if 0 <= t <= 1 else None
+
+
+def test_collision_time_matches_the_fraction_solve():
+    met = 0
+    for path, _, _ in oracle_cases(7, 400):
+        dim = len(path.start)
+        for a, b in path.pieces:
+            for size in range(2, dim + 1):
+                for idxs in combinations(range(1, dim + 1), size):
+                    want = fraction_collision_time(a, b, idxs)
+                    assert _collision_time(a, b, idxs) == want, (a, b, idxs)
+                    met += want is not None
+    assert met > 1000
 
 
 def test_validate_with_complex_constraint():
