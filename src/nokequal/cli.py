@@ -13,8 +13,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .cohomology import CohClass, betti, normalize, oracle_normal_form
-from .errors import InputError, MalformedSyntax, NoKEqualError, TooLarge
+from .cohomology import CohClass, betti, cup, normalize, oracle_normal_form
+from .errors import InputError, MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
 from .invariants import (
     InvariantReport,
     invariant_report,
@@ -59,7 +59,7 @@ def _parse_range(text: str) -> list[int]:
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise MalformedSyntax(f"bad {what} JSON: {exc}")
 
 
@@ -81,8 +81,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_cup(args) -> int:
-    from .cohomology import cup
-
     a = _sum_of_preorders(args.left, args.k, args.n)
     b = _sum_of_preorders(args.right, args.k, args.n)
     print(cup(a, b))
@@ -137,12 +135,23 @@ def _num(v):
     return float(v) if isinstance(v, Fraction) else v
 
 
+def _coordinates(values: list) -> tuple:
+    """The configuration as a tuple of finite numbers within float range."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise MalformedSyntax(f"coordinate {v!r} is not a number")
+        # false for NaN; exact for integers of any size
+        if not -sys.float_info.max <= v <= sys.float_info.max:
+            raise NotInSpace(f"coordinate {v!r:.24} is not a finite real in float range")
+    return tuple(values)
+
+
 def _cmd_plan(args) -> int:
     pair = _load_json(args.pair, "pair")
     if (not isinstance(pair, list) or len(pair) != 2
             or not all(isinstance(p, list) for p in pair)):
         raise MalformedSyntax("pair must be a JSON array of two configurations")
-    x, y = tuple(pair[0]), tuple(pair[1])
+    x, y = _coordinates(pair[0]), _coordinates(pair[1])
     domain, path = plan_conf3_3(x, y)
     valid = validate_path(path, 3, samples=args.samples, strict=True)
     print(json.dumps({
@@ -157,7 +166,7 @@ def _cmd_check(args) -> int:
     coords = _load_json(args.config, "configuration")
     if not isinstance(coords, list):
         raise MalformedSyntax("configuration must be a JSON array of numbers")
-    coords = tuple(coords)
+    coords = _coordinates(coords)
     if args.complex is not None:
         data = _load_json(args.complex, "complex")
         if not isinstance(data, dict) or "n" not in data or "facets" not in data:

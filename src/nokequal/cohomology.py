@@ -19,12 +19,13 @@ from .errors import (
     NotAdmissible,
     NotElementary,
     ParameterOutOfRange,
-    RewriteCycle,
     TooLarge,
 )
 from .preorder import (
     StringPreorder,
     _assemble,
+    _ksubsets,
+    _submasks,
     admissible_blocks,
     check_degree_params,
     classify,
@@ -33,6 +34,7 @@ from .preorder import (
     elems_of,
     enumerate_admissible,
     factor_admissible,
+    is_basic_block,
     single_block,
 )
 
@@ -169,15 +171,26 @@ def normalize(p: StringPreorder, k: int) -> CohClass:
     exchanges m out of the bracket into the suffix; the replacement factors
     are re-closed against the remaining ones and the process recurses.
     Degrees above floor(n/k) vanish outright (no basic preorders exist
-    there). Revisiting a preorder still being rewritten raises RewriteCycle;
-    no sweep has found one.
+    there).
+
+    The rewriting terminates. Measure a non-basic admissible by the pair
+    (i, -max(J_i)), i the index of its rightmost violating block, compared
+    lexicographically; every nonzero replacement is basic or has a smaller
+    measure. The blocks right of i never change. A term that moves c out of
+    the suffix is nonzero only when c is in I_i, and block i becomes
+    [J_i \\ m u c](I_i \\ c u m), which is basic, so the index drops. A
+    term that moves a out of the prefix is nonzero only when a lies in the
+    hole before block i, and block i becomes [J_i \\ m u a](I_i u m): basic
+    if a < m (the index drops), still violating with its maximum raised to
+    a if a > m (the index stays and -max(J_i) drops). The measure takes
+    finitely many values, so every chain of rewrites ends.
     """
     if admissible_blocks(p, k) is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
-    return CohClass(k, p.n, _nf(p, k, set()))
+    return CohClass(k, p.n, _nf(p, k))
 
 
-def _nf(p: StringPreorder, k: int, active: set) -> frozenset:
+def _nf(p: StringPreorder, k: int) -> frozenset:
     key = (k, p)
     cached = _nf_memo.get(key)
     if cached is not None:
@@ -186,47 +199,40 @@ def _nf(p: StringPreorder, k: int, active: set) -> frozenset:
     blocks = admissible_blocks(p, k)
     d = len(blocks)
     violating = [i for i, (j_mask, i_mask) in enumerate(blocks)
-                 if (j_mask | i_mask).bit_length() == j_mask.bit_length()]
+                 if not is_basic_block(j_mask, i_mask)]
     if not violating:
         result = frozenset([p])
     elif d > n // k:
         result = frozenset()
     else:
-        if key in active:
-            raise RewriteCycle(str(p))
-        active.add(key)
-        try:
-            i = violating[-1]
-            factors = factor_admissible(p, k)
-            j_mask, i_mask = blocks[i]
-            m_bit = 1 << (j_mask.bit_length() - 1)
-            all_mask = (1 << n) - 1
-            # prefix/suffix of the elementary factor at block i
-            suffix = 0
-            for b in range(i + 1, d):
-                suffix |= blocks[b][0] | blocks[b][1]
-            suffix |= i_mask
-            prefix = all_mask & ~j_mask & ~suffix
-            j0 = j_mask ^ m_bit
-            replacements = []
-            for a in elems_of(prefix):
-                bit = 1 << (a - 1)
-                replacements.append(_assemble(n, [(prefix ^ bit, False),
-                                                  (j0 | bit, True),
-                                                  (suffix | m_bit, False)]))
-            for c in elems_of(suffix):
-                bit = 1 << (c - 1)
-                replacements.append(_assemble(n, [(prefix, False),
-                                                  (j0 | bit, True),
-                                                  ((suffix | m_bit) ^ bit, False)]))
-            acc: set[StringPreorder] = set()
-            for repl in replacements:
-                mono = monomial_closure(factors[:i] + [repl] + factors[i + 1:], k, n)
-                if mono is not None:
-                    acc ^= _nf(mono, k, active)
-            result = frozenset(acc)
-        finally:
-            active.discard(key)
+        i = violating[-1]
+        factors = factor_admissible(p, k)
+        j_mask, i_mask = blocks[i]
+        m_bit = 1 << (j_mask.bit_length() - 1)
+        all_mask = (1 << n) - 1
+        # prefix/suffix of the elementary factor at block i
+        suffix = i_mask
+        for later_j, later_i in blocks[i + 1:]:
+            suffix |= later_j | later_i
+        prefix = all_mask & ~j_mask & ~suffix
+        j0 = j_mask ^ m_bit
+        replacements = []
+        for a in elems_of(prefix):
+            bit = 1 << (a - 1)
+            replacements.append(_assemble(n, [(prefix ^ bit, False),
+                                              (j0 | bit, True),
+                                              (suffix | m_bit, False)]))
+        for c in elems_of(suffix):
+            bit = 1 << (c - 1)
+            replacements.append(_assemble(n, [(prefix, False),
+                                              (j0 | bit, True),
+                                              ((suffix | m_bit) ^ bit, False)]))
+        acc: set[StringPreorder] = set()
+        for repl in replacements:
+            mono = monomial_closure(factors[:i] + [repl] + factors[i + 1:], k, n)
+            if mono is not None:
+                acc ^= _nf(mono, k)
+        result = frozenset(acc)
     _nf_memo[key] = result
     return result
 
@@ -439,8 +445,6 @@ def _bits_of(x: int):
 
 def relation_instances(k: int, n: int):
     """All relation instances: partitions [n] = A u B u C, card(B) = k-2."""
-    from .preorder import _ksubsets, _submasks
-
     all_mask = (1 << n) - 1
     for b_mask in _ksubsets(all_mask, k - 2):
         rest = all_mask & ~b_mask
@@ -453,12 +457,9 @@ def _relation_rows(k: int, n: int, d: int):
 
     Degree 1: the instance identities themselves. Degree 2: each instance
     multiplied by every elementary factor that nests with its terms (any
-    other factor kills every term). Products are written with the nested
-    closed form, keeping the oracle independent of the Warshall route used
-    by the production code.
+    other factor kills every term). Products are written out in their
+    nested closed form here, so the oracle calls no monomial_closure.
     """
-    from .preorder import _ksubsets, _submasks
-
     if d == 1:
         for inst in relation_instances(k, n):
             yield inst.row_terms()

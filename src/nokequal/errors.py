@@ -64,11 +64,3 @@ class CertificateFailure(NoKEqualError):
 
 class TooLarge(NoKEqualError):
     """Requested computation exceeds the configured feasibility bounds."""
-
-
-class RewriteCycle(NoKEqualError):
-    """The rewriting strategy revisited an in-progress preorder.
-
-    No sweep has produced one, and there is no fallback: normalize raises
-    it to the caller.
-    """

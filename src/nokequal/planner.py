@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress
-from math import lcm, sqrt
+from math import isfinite, lcm, sqrt
 from operator import eq
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -109,13 +109,19 @@ def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
     if not in_conf_k(x, 3):
         raise NotInSpace("configuration has a triple collision")
     last = x[-1]
-    diffs = [float(xi - last) for xi in x]
+    overflow = "coordinate differences overflow the float range"
+    try:
+        diffs = [float(xi - last) for xi in x]
+    except OverflowError:  # exact differences beyond float range
+        raise ParameterOutOfRange(overflow) from None
     # scaled norm: squaring subnormal differences would underflow to zero
     peak = max(abs(d) for d in diffs)
     if peak == 0:
         # distinct exact coordinates whose differences underflow as floats
         raise ParameterOutOfRange("coordinate differences underflow to 0.0")
     norm = peak * sqrt(sum((d / peak) ** 2 for d in diffs))
+    if not isfinite(norm):
+        raise ParameterOutOfRange(overflow)
     return tuple(d / norm for d in diffs), norm, float(last)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -171,10 +172,6 @@ class RelationMatrix:
             if acc != self.rows[i]:
                 raise NotAPartition(f"relation not transitive at {i + 1}")
 
-    def related(self, i: int, j: int) -> bool:
-        """Whether i <= j (1-based)."""
-        return bool(self.rows[i - 1] >> (j - 1) & 1)
-
 
 def transitive_closure(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     """Reflexive-transitive closure of bitmask rows (Warshall)."""
@@ -294,6 +291,12 @@ def admissible_blocks(p: StringPreorder, k: int) -> list[tuple[int, int]] | None
     return blocks
 
 
+def is_basic_block(j_mask: int, i_mask: int) -> bool:
+    """Whether I holds max(J u I), for a block [J](I). J and I are disjoint
+    and J is nonempty, so that is I having the higher top bit."""
+    return i_mask.bit_length() > j_mask.bit_length()
+
+
 @dataclass(frozen=True)
 class PreorderClass:
     """Classification of a string preorder for a collision parameter k."""
@@ -326,10 +329,7 @@ def classify(p: StringPreorder, k: int) -> PreorderClass:
     blocks = admissible_blocks(p, k)
     if blocks is None:
         return PreorderClass("non_admissible", None, k)
-    # Basic: every I_i holds max(J_i u I_i). I and J are disjoint, so
-    # that is I having the higher top bit (an empty I has none).
-    basic = all(i_mask.bit_length() > j_mask.bit_length()
-                for j_mask, i_mask in blocks)
+    basic = all(is_basic_block(j_mask, i_mask) for j_mask, i_mask in blocks)
     return PreorderClass("basic" if basic else "admissible", len(blocks), k)
 
 
@@ -401,34 +401,7 @@ def enumerate_basic(k: int, n: int, d: int) -> Iterator[StringPreorder]:
     Order: depth-first lexicographic on the sequence (J_1, I_1, ..., J_d, I_d)
     encoded as bitmask integers, smallest first; I_0 is the remainder.
     """
-    check_degree_params(k, n, d)
-    if d == 0:
-        yield discrete(n)
-        return
-    all_mask = (1 << n) - 1
-
-    def rec(pool: int, chosen: list[tuple[int, int]]):
-        # Each remaining block needs k elements: k-1 in J plus its maximum in I.
-        spare = pool.bit_count() - (d - len(chosen)) * k
-        if spare < 0:
-            return
-        if len(chosen) == d:
-            i0 = pool
-            parts: list[tuple[int, bool]] = [(i0, False)]
-            for j_mask, i_mask in chosen:
-                parts.append((j_mask, True))
-                parts.append((i_mask, False))
-            yield _assemble(n, parts)
-            return
-        for j_mask in _ksubsets(pool, k - 1):
-            rest = pool & ~j_mask
-            j_max = j_mask.bit_length()  # 1-based max element of J
-            for i_mask in _submasks(rest):
-                # basic: I nonempty and max(J u I) in I
-                if i_mask and i_mask.bit_length() > j_max and i_mask.bit_count() <= spare + 1:
-                    yield from rec(rest & ~i_mask, chosen + [(j_mask, i_mask)])
-
-    yield from rec(all_mask, [])
+    yield from _enumerate(k, n, d, basic=True)
 
 
 def enumerate_admissible(k: int, n: int, d: int) -> Iterator[StringPreorder]:
@@ -437,15 +410,17 @@ def enumerate_admissible(k: int, n: int, d: int) -> Iterator[StringPreorder]:
     Same deterministic order as enumerate_basic, without the basic filter
     (the I_i may be empty).
     """
+    yield from _enumerate(k, n, d, basic=False)
+
+
+def _enumerate(k: int, n: int, d: int, basic: bool) -> Iterator[StringPreorder]:
     check_degree_params(k, n, d)
-    if d == 0:
-        yield discrete(n)
-        return
-    all_mask = (1 << n) - 1
+    # Each remaining block needs the k-1 elements of its J; a basic one
+    # also needs its maximum, in I.
+    need = k if basic else k - 1
 
     def rec(pool: int, chosen: list[tuple[int, int]]):
-        # Each remaining block needs the k-1 elements of its J.
-        spare = pool.bit_count() - (d - len(chosen)) * (k - 1)
+        spare = pool.bit_count() - (d - len(chosen)) * need
         if spare < 0:
             return
         if len(chosen) == d:
@@ -455,21 +430,20 @@ def enumerate_admissible(k: int, n: int, d: int) -> Iterator[StringPreorder]:
                 parts.append((i_mask, False))
             yield _assemble(n, parts)
             return
+        # the next I takes the spare elements and what its block needs there
+        hole_cap = spare + need - (k - 1)
         for j_mask in _ksubsets(pool, k - 1):
             rest = pool & ~j_mask
             for i_mask in _submasks(rest):
-                if i_mask.bit_count() <= spare:
+                if i_mask.bit_count() <= hole_cap and (
+                        not basic or is_basic_block(j_mask, i_mask)):
                     yield from rec(rest & ~i_mask, chosen + [(j_mask, i_mask)])
 
-    yield from rec(all_mask, [])
+    yield from rec((1 << n) - 1, [])
 
 
 def count_admissible(k: int, n: int, d: int) -> int:
     """Number of admissible preorders with d blocks (no enumeration)."""
-    from math import comb
-
-    if d == 0:
-        return 1
     free = n - d * (k - 1)
     if free < 0:
         return 0
@@ -512,29 +486,3 @@ def single_block(p: StringPreorder) -> tuple[int, int, int]:
     i_mask = p.levels[0].mask if idx == 1 else 0
     k_mask = p.levels[-1].mask if idx < len(p.levels) - 1 else 0
     return i_mask, j_mask, k_mask
-
-
-def nested_product(p: StringPreorder, q: StringPreorder) -> StringPreorder:
-    """Closed form (I)[J](K n I')[J'](K') for single-block operands with
-    I u J contained in I'. Test oracle for compose."""
-    if p.n != q.n:
-        raise AmbientMismatch("ambient sizes differ")
-    i1, j1, k1 = single_block(p)
-    i2, j2, k2 = single_block(q)
-    if (i1 | j1) & ~i2:
-        raise NotAdmissible("nested form requires I u J contained in I'")
-    return _assemble(p.n, [(i1, False), (j1, True), (k1 & i2, False),
-                           (j2, True), (k2, False)])
-
-
-def merged_product(p: StringPreorder, q: StringPreorder) -> StringPreorder:
-    """Closed form (I n I')[J u J' u (I n K') u (I' n K)](K n K') for
-    single-block operands with neither nesting inclusion. Test oracle."""
-    if p.n != q.n:
-        raise AmbientMismatch("ambient sizes differ")
-    i1, j1, k1 = single_block(p)
-    i2, j2, k2 = single_block(q)
-    if not ((i1 | j1) & ~i2) or not ((i2 | j2) & ~i1):
-        raise NotAdmissible("merged form requires neither nesting inclusion")
-    middle = j1 | j2 | (i1 & k2) | (i2 & k1)
-    return _assemble(p.n, [(i1 & i2, False), (middle, True), (k1 & k2, False)])

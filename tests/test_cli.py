@@ -147,6 +147,32 @@ def test_non_finite_coordinate_is_exit_2(capsys):
         assert "finite" in err
 
 
+@pytest.mark.parametrize("coordinate", ['"a"', "null", "true", "[1]"])
+def test_non_numeric_coordinate_is_exit_2(capsys, coordinate):
+    code, out, err = run(capsys, "plan", "--pair", f"[[{coordinate},0,2],[2,1,0]]")
+    assert (code, out) == (2, "")
+    assert "not a number" in err
+
+
+def test_coordinate_beyond_float_range_is_exit_2(capsys):
+    pair = f"[[0,1{'0' * 400},1],[2,1,0]]"
+    code, out, err = run(capsys, "plan", "--pair", pair)
+    assert (code, out) == (2, "")
+    assert "float range" in err
+
+
+def test_integer_too_long_to_read_is_exit_2(capsys):
+    code, out, err = run(capsys, "plan", "--pair", f"[[0,{'1' * 5000},1],[2,1,0]]")
+    assert (code, out) == (2, "")
+    assert "bad pair JSON" in err
+
+
+def test_check_rejects_a_non_numeric_coordinate(capsys):
+    code, out, err = run(capsys, "check", "--config", "[[0],1,2]", "--k", "3")
+    assert (code, out) == (2, "")
+    assert "not a number" in err
+
+
 def test_too_large_is_exit_3(capsys):
     code, _, _ = run(capsys, "oracle", "--k", "3", "--n", "9", "--d", "3")
     assert code == 3

@@ -35,6 +35,7 @@ from nokequal.preorder import (
     admissible_blocks,
     classify,
     discrete,
+    elems_of,
     enumerate_admissible,
     enumerate_basic,
     factor_admissible,
@@ -197,6 +198,47 @@ def test_normalize_top_degree_at_n18_under_the_default_recursion_limit():
         assert out.terms
         assert all(classify(t, k).is_basic and classify(t, k).d == n // k for t in out.terms)
     assert sys.getrecursionlimit() == limit
+
+
+def rewrite_measure(p, k):
+    """The termination measure of normalize's docstring, from the definition:
+    (i, -max(J_i)) for the rightmost block [J_i](I_i) whose maximum lies in
+    J_i, or None when p is basic."""
+    blocks = admissible_blocks(p, k)
+    for i in reversed(range(len(blocks))):
+        j_mask, i_mask = blocks[i]
+        if max(elems_of(j_mask | i_mask)) in elems_of(j_mask):
+            return (i, -max(elems_of(j_mask)))
+    return None
+
+
+def test_rewrite_measure_decreases_on_every_edge(monkeypatch):
+    # Each _nf call made while rewriting a preorder is an edge from that
+    # preorder to one term of its rewrite; the measure drops along every one.
+    edges, stack = [], []
+    real_nf = cohomology._nf
+
+    def recording_nf(p, k):
+        if stack:
+            edges.append((stack[-1], p, k))
+        stack.append(p)
+        try:
+            return real_nf(p, k)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(cohomology, "_nf", recording_nf)
+    monkeypatch.setattr(cohomology, "_nf_memo", {})
+    for k, n_max in ((3, 7), (4, 8)):
+        for n in range(k, n_max + 1):
+            for d in (1, 2):
+                for p in enumerate_admissible(k, n, d):
+                    normalize(p, k)
+    for parent, child, k in edges:
+        child_measure = rewrite_measure(child, k)
+        assert child_measure is None or child_measure < rewrite_measure(parent, k), (
+            str(parent), str(child))
+    assert len(edges) == 25_482
 
 
 def test_normalize_overflow_degree_is_zero():

@@ -109,6 +109,14 @@ def test_reduce_rejects_differences_below_float_range():
         reduce_to_xn((0, tiny, 2 * tiny))
 
 
+def test_reduce_rejects_differences_beyond_float_range():
+    # an exact difference too large for a float, and float differences or a
+    # norm that overflow
+    for x in ((0, 10 ** 400, 1), (0, 1e308, -1e308), (1.5e308, -1.5e308, 0)):
+        with pytest.raises(ParameterOutOfRange):
+            reduce_to_xn(x)
+
+
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_reduce_roundtrip(coords):
@@ -197,19 +205,26 @@ def _pairs(draw):
     return x, draw(_triple)
 
 
-@given(_pairs(), st.integers(-60, 60))
+@given(_pairs(), st.integers(-60, 60), st.integers(-2 ** 20, 2 ** 20))
 @settings(max_examples=300, deadline=None)
-def test_plan_is_invariant_under_power_of_two_scaling(pair, j):
+def test_plan_is_invariant_under_power_of_two_scaling(pair, j, j2):
+    # and under translation by a dyadic offset, added as rationals so that
+    # x + o is exact
     x, y = pair
     if not (in_conf_k(x, 3) and in_conf_k(y, 3)):
         return
     s = 2.0 ** j
+    o = Fraction(j2, 2 ** 10)
     domain, path = plan_conf3_3(x, y)
+    verdict = validate_path(path, 3, strict=True)
     scaled_domain, scaled_path = plan_conf3_3(tuple(s * v for v in x),
                                               tuple(s * v for v in y))
     assert scaled_domain == domain
-    assert (validate_path(scaled_path, 3, strict=True)
-            == validate_path(path, 3, strict=True))
+    assert validate_path(scaled_path, 3, strict=True) == verdict
+    moved_domain, moved_path = plan_conf3_3(tuple(Fraction(v) + o for v in x),
+                                            tuple(Fraction(v) + o for v in y))
+    assert moved_domain == domain
+    assert validate_path(moved_path, 3, strict=True) == verdict
 
 
 def test_parallel_to_diagonal_is_direct():

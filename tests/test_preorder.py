@@ -1,15 +1,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nokequal.cohomology import monomial_closure
 from nokequal.errors import (
     AmbientMismatch,
     MalformedSyntax,
     NotAPartition,
     NotString,
+    ParameterOutOfRange,
 )
 from nokequal.preorder import (
     RelationMatrix,
+    _assemble,
+    _ksubsets,
+    _submasks,
     admissible_blocks,
+    check_degree_params,
     classify,
     compose,
     count_admissible,
@@ -20,8 +26,6 @@ from nokequal.preorder import (
     factor_admissible,
     make_preorder,
     make_x,
-    merged_product,
-    nested_product,
     parse_preorder,
     single_block,
     to_matrix,
@@ -155,6 +159,89 @@ def test_enumeration_no_duplicates():
     assert len(seen) == len(set(seen)) == count_admissible(3, 6, 2)
 
 
+def old_enumerate_basic(k, n, d):
+    """enumerate_basic's body before the two enumerators were merged, kept
+    verbatim as the oracle of the merged one."""
+    check_degree_params(k, n, d)
+    if d == 0:
+        yield discrete(n)
+        return
+    all_mask = (1 << n) - 1
+
+    def rec(pool: int, chosen: list[tuple[int, int]]):
+        # Each remaining block needs k elements: k-1 in J plus its maximum in I.
+        spare = pool.bit_count() - (d - len(chosen)) * k
+        if spare < 0:
+            return
+        if len(chosen) == d:
+            i0 = pool
+            parts: list[tuple[int, bool]] = [(i0, False)]
+            for j_mask, i_mask in chosen:
+                parts.append((j_mask, True))
+                parts.append((i_mask, False))
+            yield _assemble(n, parts)
+            return
+        for j_mask in _ksubsets(pool, k - 1):
+            rest = pool & ~j_mask
+            j_max = j_mask.bit_length()  # 1-based max element of J
+            for i_mask in _submasks(rest):
+                # basic: I nonempty and max(J u I) in I
+                if i_mask and i_mask.bit_length() > j_max and i_mask.bit_count() <= spare + 1:
+                    yield from rec(rest & ~i_mask, chosen + [(j_mask, i_mask)])
+
+    yield from rec(all_mask, [])
+
+
+def old_enumerate_admissible(k, n, d):
+    """enumerate_admissible's body before the merge, kept verbatim."""
+    check_degree_params(k, n, d)
+    if d == 0:
+        yield discrete(n)
+        return
+    all_mask = (1 << n) - 1
+
+    def rec(pool: int, chosen: list[tuple[int, int]]):
+        # Each remaining block needs the k-1 elements of its J.
+        spare = pool.bit_count() - (d - len(chosen)) * (k - 1)
+        if spare < 0:
+            return
+        if len(chosen) == d:
+            parts: list[tuple[int, bool]] = [(pool, False)]
+            for j_mask, i_mask in chosen:
+                parts.append((j_mask, True))
+                parts.append((i_mask, False))
+            yield _assemble(n, parts)
+            return
+        for j_mask in _ksubsets(pool, k - 1):
+            rest = pool & ~j_mask
+            for i_mask in _submasks(rest):
+                if i_mask.bit_count() <= spare:
+                    yield from rec(rest & ~i_mask, chosen + [(j_mask, i_mask)])
+
+    yield from rec(all_mask, [])
+
+
+def test_merged_enumerator_matches_the_old_bodies():
+    def outcome(preorders):
+        try:
+            return list(preorders)
+        except ParameterOutOfRange as exc:
+            return repr(exc)
+
+    cases = [(k, n, d) for k in (3, 4) for n in range(k, 9)
+             for d in range(n // k + 2)]
+    cases += [(2, 5, 1), (3, 2, 1), (5, 4, 1), (3, 65, 1), (3, 5, -1)]
+    compared = 0
+    for k, n, d in cases:
+        for new, old in ((enumerate_basic, old_enumerate_basic),
+                         (enumerate_admissible, old_enumerate_admissible)):
+            expected = outcome(old(k, n, d))
+            assert outcome(new(k, n, d)) == expected, (new.__name__, k, n, d)
+            if isinstance(expected, list):
+                compared += len(expected)
+    assert compared == 100_945
+
+
 def test_basics_are_admissible_subset():
     basics = set(enumerate_basic(4, 6, 1))
     adm = set(enumerate_admissible(4, 6, 1))
@@ -235,19 +322,55 @@ def test_compose_associative_on_elementaries(data):
     assert left == right
 
 
+def nests(f, g):
+    """Whether one single-block factor's I u J lies in the other's I."""
+    (i_f, j_f, _), (i_g, j_g, _) = single_block(f), single_block(g)
+    return not (i_f | j_f) & ~i_g or not (i_g | j_g) & ~i_f
+
+
+def closes_to_admissible(f, g, k):
+    try:
+        return admissible_blocks(compose(f, g), k) is not None
+    except NotString:
+        return False
+
+
+def check_pair(f, g, k):
+    """compose, the Warshall route, against monomial_closure: equal on a
+    nesting pair; otherwise the product is zero and the closure is not
+    admissible, but for a repeated factor, which compose keeps (the ring's
+    square of it is zero)."""
+    closed = monomial_closure([f, g], k, f.n)
+    if nests(f, g):
+        assert closed is not None and compose(f, g) == closed, (f, g)
+    elif f == g:
+        assert closed is None and compose(f, g) == f
+    else:
+        assert closed is None and not closes_to_admissible(f, g, k), (f, g)
+
+
 def test_nested_closed_form_matches_compose():
     # factors with I u J contained in the deeper hole compose by splicing
     outer = parse_preorder("(1)[2,3](4,5,6,7)")
     inner = parse_preorder("(1,2,3,4)[5,6](7)")
-    spliced = nested_product(outer, inner)
+    spliced = monomial_closure([outer, inner], 3, 7)
+    assert str(spliced) == "(1)[2,3](4)[5,6](7)"
     assert spliced == compose(outer, inner)
 
 
-def test_merged_closed_form_matches_compose():
+def test_merged_pair_closes_to_zero():
     a = parse_preorder("[1,2](3,4)")
     b = parse_preorder("(1)[2,3](4)")
-    assert str(merged_product(a, b)) == "[1,2,3](4)"
-    assert merged_product(a, b) == compose(a, b)
+    assert str(compose(a, b)) == "[1,2,3](4)"
+    assert monomial_closure([a, b], 3, 4) is None
+
+
+def test_compose_agrees_with_monomial_closure_on_every_pair():
+    for k, n in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5)):
+        elementary = list(enumerate_admissible(k, n, 1))
+        for f in elementary:
+            for g in elementary:
+                check_pair(f, g, k)
 
 
 @given(st.data())
@@ -256,17 +379,7 @@ def test_elementary_compose_closed_forms(data):
     n = data.draw(st.integers(4, 8))
     m1 = data.draw(st.integers(1, n - 2))
     m2 = data.draw(st.integers(1, n - 2))
-    a, b = make_x(m1, 3, n), make_x(m2, 3, n)
-    try:
-        prod = compose(a, b)
-    except NotString:
-        return
-    blocks = admissible_blocks(prod, 3)
-    if blocks is not None and len(blocks) == 2:
-        lo, hi = (a, b) if m1 < m2 else (b, a)
-        assert prod == nested_product(lo, hi)
-    elif blocks is not None and len(blocks) == 1:
-        assert prod == merged_product(a, b)
+    check_pair(make_x(m1, 3, n), make_x(m2, 3, n), 3)
 
 
 def test_enumerate_basic_matches_brute_filter():
