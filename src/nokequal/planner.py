@@ -4,11 +4,12 @@ a double collision."""
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import isfinite, lcm, sqrt
 from operator import eq
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -224,6 +225,57 @@ def _cross(u: Sequence[float], v: Sequence[float]) -> tuple:
             u[0] * v[1] - u[1] * v[0])
 
 
+def _crossing_and_normal(x: Configuration, y: Configuration,
+                         t: Fraction) -> tuple[list, tuple]:
+    """The point p = (1 - t) x + t y where [x, y] crosses the diagonal, and
+    u = cross(y - x, (1,1,1))."""
+    s = 1 - t
+    return ([s * xi + t * yi for xi, yi in zip(x, y)],
+            _cross([yi - xi for xi, yi in zip(x, y)], (1, 1, 1)))
+
+
+# exact bound of the float range: int, float and Fraction values compare
+# with an int exactly, and NaN compares false
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _detour_waypoint(x: Configuration, y: Configuration, t: Fraction) -> tuple:
+    """The waypoint of the detour around the diagonal, which the segment
+    [x, y] crosses at time t.
+
+    A waypoint w gives a clear detour if it is off the plane through the
+    diagonal and x (the plane holds y too): each detour segment then has
+    one end off the plane and cannot meet the diagonal, which lies in it.
+    With p and u from _crossing_and_normal, u is normal to that plane and p
+    lies on the diagonal, so every w = a p + b u with b != 0 is off the
+    plane.
+
+    The waypoint is p + u, in the coordinates' own arithmetic (exact for
+    int and Fraction coordinates), when every coordinate of it is in the
+    float range. Otherwise float arithmetic overflowed near the top of the
+    range (an overflow anywhere leaves an inf or NaN in p + u), or an
+    exact coordinate is beyond it. Then p and u are taken exactly, over
+    the rationals the coordinates denote, and the waypoint is
+    (p + (c/m) u) / 2, with c the largest |coordinate| of x and y and m
+    that of u: both summands are at most c in size, so the waypoint is
+    too, and it lies c/2 or more from the plane. It is rounded once, to
+    floats if a coordinate is a float; each rounding moves a coordinate by
+    at most 2^-53 c, so the rounded waypoint is off the plane as well. A
+    small multiple of u would not do: scaled down far enough to keep
+    p + u in range, it may round to zero.
+    """
+    w = tuple(pi + ui for pi, ui in zip(*_crossing_and_normal(x, y, t)))
+    if all(-_FLOAT_MAX <= wi <= _FLOAT_MAX for wi in w):
+        return w
+    rounded = any(isinstance(v, float) for v in chain(x, y))
+    x, y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+    c = max(map(abs, chain(x, y)))
+    p, u = _crossing_and_normal(x, y, t)
+    lam = c / max(map(abs, u))
+    w = tuple((pi + lam * ui) / 2 for pi, ui in zip(p, u))
+    return tuple(map(float, w)) if rounded else w
+
+
 def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     """Motion planner for three points on the line, no triple collision.
 
@@ -231,7 +283,9 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     the segment crosses the diagonal at p; detour through p + u where u is
     the cross product of y - x with (1,1,1). u is orthogonal to the
     diagonal's direction and nonzero, so the waypoint (and hence both
-    detour segments) stays clear of the diagonal.
+    detour segments) stays clear of the diagonal. Where p + u leaves the
+    float range the waypoint is a rescaled p + u inside it; see
+    _detour_waypoint.
     """
     if len(x) != 3 or len(y) != 3:
         raise DimensionMismatch("planner works on 3 coordinates")
@@ -240,10 +294,7 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     t = _collision_time(x, y, (1, 2, 3))
     if t is None:
         return 0, Path.through(x, y)
-    p = tuple(xi + t * (yi - xi) for xi, yi in zip(x, y))
-    u = _cross([yi - xi for xi, yi in zip(x, y)], (1, 1, 1))
-    waypoint = tuple(pi + ui for pi, ui in zip(p, u))
-    return 1, Path.through(x, waypoint, y)
+    return 1, Path.through(x, _detour_waypoint(x, y, t), y)
 
 
 PathRule = Callable[[Configuration, Configuration], Union[Path, Callable[[float], Configuration]]]
@@ -281,16 +332,25 @@ def pullback_rule(alpha: Callable, beta: Callable, homotopy_H: Callable,
 
 def _sampled_ok(a: Configuration, b: Configuration, ts: list[float],
                 member: Callable[[tuple], bool]) -> bool:
-    """True iff member holds at every point a + t(b - a), t in ts.
+    """True iff member holds at every point a + t(b - a), t in ts, which
+    run from 0 to 1.
 
     Coordinate i runs through the column float(a_i) + t * float(b_i - a_i),
     the floats that a_i + t * (b_i - a_i) gives for int, float and Fraction
-    operands. A point can leave the space only where two coordinates agree
-    (every collision pattern has at least two vertices), so member is asked
-    only at the times where some pair of columns is equal.
+    operands, between its ends float(a_i) and float(b_i). The ends are
+    taken as they are because the sum can lose them: after a_i near the
+    top of the float range it rounds a subnormal b_i to 0.0 at t = 1, and
+    an overflowing b_i - a_i makes it NaN at t = 0. A point can leave the
+    space only where two coordinates agree (every collision pattern has at
+    least two vertices), so member is asked only at the times where some
+    pair of columns is equal.
     """
-    cols = [[fa + t * d for t in ts]
-            for fa, d in ((float(ai), float(bi - ai)) for ai, bi in zip(a, b))]
+    cols = []
+    for ai, bi in zip(a, b):
+        fa, d = float(ai), float(bi - ai)
+        col = [fa + t * d for t in ts]
+        col[0], col[-1] = fa, float(bi)
+        cols.append(col)
     hits = set()
     for ci, cj in combinations(cols, 2):
         if any(map(eq, ci, cj)):

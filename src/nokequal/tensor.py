@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Iterable, Optional
 
 from .cohomology import CohClass, cup, monomial_closure, normalize
@@ -162,10 +162,11 @@ def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
         raise AmbientMismatch("tensor classes live in different rings")
     k, n, s = a.k, a.n, a.s
     cap = n // k
-    # Slot degrees of every term, classified once per call rather than
-    # once per term pair.
-    a_degrees = [(ta, tuple(classify(p, k).d for p in ta)) for ta in a.terms]
-    b_degrees = [(tb, tuple(classify(p, k).d for p in tb)) for tb in b.terms]
+    # Degree of each distinct preorder in either operand, classified once
+    # per call rather than once per slot or term pair.
+    degree = {p: classify(p, k).d for t in chain(a.terms, b.terms) for p in t}
+    a_degrees = [(ta, tuple(degree[p] for p in ta)) for ta in a.terms]
+    b_degrees = [(tb, tuple(degree[p] for p in tb)) for tb in b.terms]
     for t, degrees in a_degrees + b_degrees:
         if None in degrees:
             raise NotAdmissible(
@@ -285,9 +286,17 @@ def _exhaustive_zcl(k: int, n: int) -> int:
     divisors from y_m (1 <= m <= n-k+2) and y'_m (m >= 2), in increasing
     index order. Squares are skipped: over GF(2) y_m^2 = x_m^2 (x) 1 +
     1 (x) x_m^2, and x_m^2 = 0, so a product with a repeated factor is
-    zero. Products of 2*floor(n/k) factors are not extended: each factor
-    adds one block to one slot and a slot holds at most floor(n/k)
-    blocks, so every longer product is zero.
+    zero. No product of more than cap = 2*floor(n/k) factors is nonzero:
+    each factor adds one block to one slot and a slot holds at most
+    floor(n/k) blocks.
+
+    The search is depth-first: it multiplies the current product by the
+    next divisor in index order, descends into that product at once if it
+    is nonzero, and backtracks when no divisor is left. It returns cap as
+    soon as some product of cap factors is nonzero. That is the value a
+    full search would return, since no product is longer; when no product
+    reaches cap, the search runs to the end and returns the true maximum.
+    Every divisor is built first, so each one's kernel check runs.
     """
     ms = [(m, primed)
           for m in range(1, n - k + 3)
@@ -295,19 +304,22 @@ def _exhaustive_zcl(k: int, n: int) -> int:
     divisors = [y(k, n, m, primed) for m, primed in ms]
     cap = 2 * (n // k)
     best = 0
-    stack: list[tuple[TensorClass, int, int]] = [(d, j, 1) for j, d in enumerate(divisors)]
-    while stack:
-        prod, j, depth = stack.pop()
-        if prod.is_zero:
-            continue
-        best = max(best, depth)
-        if depth == cap:
-            continue
-        for j2 in range(j + 1, len(divisors)):
-            nxt = tensor_cup(prod, divisors[j2])
-            if nxt:
-                stack.append((nxt, j2, depth + 1))
-    return best
+    # path holds (product, index of its last factor) for each depth
+    path: list[tuple[TensorClass, int]] = []
+    j = 0
+    while True:
+        if j < len(divisors):
+            prod = tensor_cup(path[-1][0], divisors[j]) if path else divisors[j]
+            if prod:
+                path.append((prod, j))
+                best = max(best, len(path))
+                if best == cap:
+                    return best
+            j += 1
+        elif path:
+            j = path.pop()[1] + 1
+        else:
+            return best
 
 
 def zcl_lower(k: int, n: int, s: int = 2) -> int:
@@ -321,7 +333,11 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     the slot degree bound, and no fewer, since its divisors include every
     factor of the structured witness; so the two must be equal, and
     CertificateFailure is raised when they are not, or when a witness
-    product vanishes.
+    product vanishes. The search is depth-first in ascending divisor order
+    and returns at the first nonzero product of 2*floor(n/k) factors; no
+    product is longer, so stopping there gives the value a full search
+    would, and a search that never reaches the bound runs to the end and
+    reports its true maximum, which then fails the comparison.
     """
     if s < 2:
         raise ParameterOutOfRange("s must be >= 2")

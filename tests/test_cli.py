@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -85,6 +86,20 @@ def test_plan_domain_does_not_depend_on_scale(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["domain"], payload["valid"]) == (0, True)
+
+
+@pytest.mark.parametrize("pair", [
+    # y - x overflows the float range; the waypoint must not
+    "[[1e308,-1e308,0],[-1e308,1e308,0]]",
+    # the crossing is 2^-2096 from y, whose coordinates are subnormal
+    "[[0,-4.49423283715579e307,-8.98846567431158e307],[0,5e-324,1e-323]]",
+])
+def test_plan_detour_near_the_top_of_the_float_range(capsys, pair):
+    code, out, _ = run(capsys, "plan", "--pair", pair)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["domain"], payload["valid"]) == (1, True)
+    assert all(math.isfinite(c) for c in payload["path"][1])
 
 
 def test_check_k(capsys):

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nokequal.errors import (
     BaseRuleUndefined,
@@ -227,6 +228,66 @@ def test_plan_is_invariant_under_power_of_two_scaling(pair, j, j2):
     assert validate_path(moved_path, 3, strict=True) == verdict
 
 
+@st.composite
+def _crossing_pairs(draw):
+    # y = q - s (x - q) crosses the diagonal at t = 1 / (1 + s)
+    x = draw(st.tuples(_dyadic, _dyadic, _dyadic))
+    q = draw(_dyadic)
+    s = 2.0 ** draw(st.integers(-8, 8))
+    return x, tuple(q - s * (v - q) for v in x)
+
+
+@st.composite
+def _spanning_pairs(draw):
+    # 2^e1 a and -2^e2 a cross the diagonal about 2^(e1 - e2) from the
+    # first, a point near the subnormals; the second is near the top
+    a = draw(st.tuples(*[st.integers(-8, 8)] * 3))
+    e1, e2 = draw(st.integers(-1074, -900)), draw(st.integers(900, 1020))
+    pair = (tuple(math.ldexp(v, e1) for v in a), tuple(math.ldexp(-v, e2) for v in a))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@given(_pairs() | _crossing_pairs() | _spanning_pairs(), st.integers(0, 4))
+@example(((1.0, 2.0, -3.0), (-1.0, -2.0, 3.0)), 0)
+@settings(max_examples=300, deadline=None)
+def test_plan_detour_is_finite_near_the_top_of_the_float_range(pair, i):
+    # the largest |coordinate| is moved into [2^(1022-i), 2^(1023-i)), on
+    # both sides of the switch to a scaled detour, where y - x can overflow
+    c = max(abs(v) for z in pair for v in z)
+    if c == 0:
+        return
+    shift = 1023 - math.frexp(c)[1] - i
+    x, y = (tuple(math.ldexp(v, shift) for v in z) for z in pair)
+    if not (in_conf_k(x, 3) and in_conf_k(y, 3)):
+        return
+    _, path = plan_conf3_3(x, y)
+    assert all(math.isfinite(c) for pt in path.points for c in pt)
+    assert validate_path(path, 3, strict=True)
+
+
+@pytest.mark.parametrize("x,y", [
+    # crossing at t = 8/9, where p + u would overflow unless u is scaled
+    (tuple(2.0 ** 1023 * v for v in (-1.5, 0.5, 1.75)),
+     tuple(2.0 ** 1023 * v for v in (1.3125, 1.0625, 0.90625))),
+    # crossing at t = 1 / (1 + 2^1021), next to x
+    ((1.0, 2.0, -3.0), (-2.0 ** 1021, -2.0 ** 1022, 3 * 2.0 ** 1021)),
+    # crossing at t = 1 / (1 + 2^2096), where a multiple of u scaled by t
+    # would round to zero; and the same pair reversed
+    ((0.0, 5e-324, 1e-323), (0.0, -2.0 ** 1022, -2.0 ** 1023)),
+    ((0.0, -2.0 ** 1022, -2.0 ** 1023), (0.0, 5e-324, 1e-323)),
+    # exact coordinates give an exact waypoint, here a rescaled one: p + u
+    # is 2^1024 (1, -1, 1)
+    (tuple(Fraction(v, 3) * 2 ** 1024 for v in (0, 1, 2)),
+     tuple(Fraction(v, 3) * 2 ** 1024 for v in (2, 1, 0))),
+])
+def test_plan_detour_is_finite_at_extreme_pairs(x, y):
+    domain, path = plan_conf3_3(x, y)
+    assert domain == 1
+    assert {type(c) for c in path.points[1]} == {type(x[0])}
+    assert all(math.isfinite(c) for pt in path.points for c in pt)
+    assert validate_path(path, 3, strict=True)
+
+
 def test_parallel_to_diagonal_is_direct():
     # y - x proportional to (1,1,1) can never reach the diagonal
     domain, path = plan_conf3_3((0, 1, 2), (5, 6, 7))
@@ -248,8 +309,9 @@ def test_validate_rejects_k_below_2_on_a_clear_path():
 
 def sampled_validate_path(path, constraint, samples=256, strict=False):
     """validate_path as it was before sample screening: a tuple and a Counter
-    for every sample point. Kept as the oracle of the screened check; its
-    strict part calls the current exact solver."""
+    for every sample point, the first and last of which are the segment's
+    ends as floats. Kept as the oracle of the screened check; its strict
+    part calls the current exact solver."""
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
     dim = len(path.start)
@@ -266,6 +328,8 @@ def sampled_validate_path(path, constraint, samples=256, strict=False):
         for i in range(samples):
             t = i / (samples - 1)
             pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+            if i in (0, samples - 1):
+                pt = tuple(map(float, b if i else a))
             if not member(pt):
                 return False
         if strict:

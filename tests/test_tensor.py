@@ -12,7 +12,7 @@ from nokequal.errors import (
     NotAdmissible,
     ParameterOutOfRange,
 )
-from nokequal.preorder import discrete, parse_preorder
+from nokequal.preorder import classify, discrete, parse_preorder
 from nokequal.tensor import (
     TensorClass,
     ZeroDivisorSpec,
@@ -208,6 +208,41 @@ def _unpruned_zcl(k, n):
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5) for n in range(k + 1, 2 * k + 1)])
 def test_pruned_zcl_search_matches_unpruned(k, n):
     assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == 2 * (n // k)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10)])
+def test_zcl_search_stops_at_the_bound(monkeypatch, k, n):
+    divisors = _divisors(k, n, 2)
+    calls = []
+    real = tensor.tensor_cup
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(tensor, "tensor_cup", counting)
+    assert _exhaustive_zcl(k, n) == 2 * (n // k)
+    assert len(calls) <= len(divisors)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4) for n in range(k + 1, 2 * k + 1)])
+def test_zcl_search_runs_to_the_end_when_the_bound_is_unreachable(monkeypatch, k, n):
+    # Every product of cap factors is set to zero, so the longest nonzero
+    # product has cap - 1 factors and the search must find no more.
+    cap = 2 * (n // k)
+    real = tensor.tensor_cup
+
+    def capped(a, b):
+        prod = real(a, b)
+        if any(sum(classify(p, k).d for p in t) == cap for t in prod.terms):
+            return TensorClass.zero(k, n, 2)
+        return prod
+
+    monkeypatch.setattr(tensor, "tensor_cup", capped)
+    monkeypatch.setitem(globals(), "tensor_cup", capped)
+    assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == cap - 1
+    with pytest.raises(CertificateFailure):
+        zcl_lower(k, n, 2)
 
 
 def test_zcl_search_disagreement_is_a_certificate_failure(monkeypatch):
