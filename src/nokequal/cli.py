@@ -10,17 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cohomology import CohClass, betti, cup, normalize, oracle_normal_form
 from .errors import InputError, MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
-from .invariants import (
-    InvariantReport,
-    invariant_report,
-    reports_to_csv,
-    reports_to_json,
-)
+from .invariants import reports_to_csv, reports_to_json, verify_range
 from .planner import (
     SimplicialComplex,
     in_conf_complex,
@@ -103,21 +97,8 @@ def _cmd_zcl(args) -> int:
     return 0
 
 
-def _table_cell(cell: tuple[int, int, int]) -> InvariantReport:
-    return invariant_report(*cell)
-
-
 def _cmd_table(args) -> int:
-    cells = [(k, n, s)
-             for k in args.k_range
-             for n in args.n_range if n >= k
-             for s in args.s_range]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_table_cell, cells))
-    else:
-        reports = [_table_cell(c) for c in cells]
-    reports.sort(key=lambda r: (r.k, r.n, r.s))
+    reports = verify_range(args.k_range, args.n_range, args.s_range)
     if args.json:
         print(reports_to_json(reports))
     elif args.csv:
@@ -230,7 +211,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-range", type=_parse_range, required=True)
     p.add_argument("--n-range", type=_parse_range, required=True)
     p.add_argument("--s-range", type=_parse_range, default=[2])
-    p.add_argument("--jobs", type=int, default=1)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

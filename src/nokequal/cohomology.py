@@ -464,7 +464,8 @@ def _relation_rows(k: int, n: int, d: int):
         for inst in relation_instances(k, n):
             yield inst.row_terms()
         return
-    assert d == 2
+    if d != 2:
+        raise ParameterOutOfRange(f"relation rows are built for d = 1 or 2, got d={d}")
     for inst in relation_instances(k, n):
         A, B, C = inst.a_mask, inst.b_mask, inst.c_mask
         # Family "above": factors (I)[J](K) with I containing A u B, i.e.

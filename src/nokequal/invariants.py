@@ -1,8 +1,8 @@
 """Closed-form invariants and cross-verification reports.
 
 Closed forms come from the structure theory; the computational modules
-supply certified lower bounds (nonzero witness products). Reports record
-both and never pretend a computation established an upper bound.
+supply lower bounds with certificates (nonzero witness products). Reports
+record both and never pretend a computation established an upper bound.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .cohomology import betti, cup_length
-from .errors import CertificateFailure, ParameterOutOfRange, RangeViolation, TooLarge
+from .errors import CertificateFailure, ParameterOutOfRange, RangeViolation
 from .tensor import zcl_lower
 
 SPHERE_NOTE = "upper bound from sphere S^{{k-2}}; zcl certificate = {v} only"
@@ -29,22 +29,14 @@ def cat_formula(k: int, n: int) -> int:
 
 
 def tc_formula(k: int, n: int) -> int:
-    """Topological complexity, by the four-case closed form."""
-    if k < 3 or n < 1:
-        raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
-    if n < k:
-        return 0
-    if n == k:
-        return 1 if k % 2 else 2
-    return 2 * (n // k)
+    """Topological complexity, by the four-case closed form: TC_2."""
+    return tcs_formula(k, n, 2)
 
 
 def tcs_formula(k: int, n: int, s: int) -> int:
     """Higher (sequential) topological complexity TC_s."""
     if s < 2:
         raise ParameterOutOfRange("s must be >= 2")
-    if s == 2:
-        return tc_formula(k, n)
     if k < 3 or n < 1:
         raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
     if n < k:
@@ -95,12 +87,11 @@ class InvariantReport:
     tc: int
     tcs: int
     betti_list: list[int]
-    certified: dict[str, dict] = field(default_factory=dict)
     certificates: list[Certificate] = field(default_factory=list)
 
     @property
     def all_agree(self) -> bool:
-        return all(c["agree"] for c in self.certified.values())
+        return all(c.status != "fail" for c in self.certificates)
 
     def to_dict(self) -> dict:
         return {
@@ -111,76 +102,53 @@ class InvariantReport:
         }
 
 
-def _entry(closed: int, lower: Optional[int], upper: Optional[int]) -> dict:
-    known = [v for v in (lower, closed, upper) if v is not None]
-    return {
-        "closed_form": closed,
-        "lower": lower,
-        "upper": upper,
-        "agree": all(v == closed for v in known),
-    }
-
-
 def invariant_report(k: int, n: int, s: int = 2) -> InvariantReport:
-    """Compute one grid cell: closed forms plus certified lower bounds.
+    """Compute one grid cell: closed forms plus lower bounds with certificates.
 
-    Infeasible certificate computations are recorded as skipped and
-    failed certificate checks as fail, never raised; upper bounds are
-    always quoted from the closed forms.
+    Failed certificate checks are recorded as fail, never raised. A
+    certificate is skipped only where it certifies nothing: zcl_lower on
+    an even sphere (n = k, k even), whose TC comes from the sphere's
+    upper-bound argument, and betti_rank outside k < n < 2k, where the
+    closed form does not hold. Upper bounds are always quoted from the
+    closed forms.
     """
     cat = cat_formula(k, n)
     hdim = hdim_formula(k, n)
     tc = tc_formula(k, n)
     tcs = tcs_formula(k, n, s)
-    target = tcs if s > 2 else tc
     betti_list = [betti(k, n, d) for d in range(0, cat + 1)] if n >= k else [1]
     certs: list[Certificate] = []
-    certified: dict[str, dict] = {}
 
     try:
         cl = cup_length(k, n)
         certs.append(Certificate("cat_lower", cl,
                                  "pass" if cl == cat else "fail"))
-        certified["cat"] = _entry(cat, cl, cat)
-    except TooLarge as exc:
-        certs.append(Certificate("cat_lower", None, "skipped", str(exc)))
-        certified["cat"] = _entry(cat, None, cat)
     except CertificateFailure as exc:
         certs.append(Certificate("cat_lower", None, "fail", str(exc)))
-        certified["cat"] = dict(_entry(cat, None, cat), agree=False)
 
-    tcs_key = "tcs" if s > 2 else "tc"
     try:
         zcl = zcl_lower(k, n, s)
         if n == k:
             # the zcl witness cannot see the sphere's upper-bound argument
             note = SPHERE_NOTE.format(v=zcl)
-            status = "pass" if zcl == target else "skipped"
+            status = "pass" if zcl == tcs else "skipped"
             certs.append(Certificate("zcl_lower", zcl, status, note))
-            certified[tcs_key] = _entry(target, zcl if zcl == target else None, target)
         else:
             certs.append(Certificate("zcl_lower", zcl,
-                                     "pass" if zcl == target else "fail"))
-            certified[tcs_key] = _entry(target, zcl, target)
-    except TooLarge as exc:
-        certs.append(Certificate("zcl_lower", None, "skipped", str(exc)))
-        certified[tcs_key] = _entry(target, None, target)
+                                     "pass" if zcl == tcs else "fail"))
     except CertificateFailure as exc:
         certs.append(Certificate("zcl_lower", None, "fail", str(exc)))
-        certified[tcs_key] = dict(_entry(target, None, target), agree=False)
 
     if k < n < 2 * k:
         rank = betti(k, n, 1)
         closed = betti_closed_form(k, n)
         certs.append(Certificate("betti_rank", rank,
                                  "pass" if rank == closed else "fail"))
-        certified["betti"] = _entry(closed, rank, rank)
     else:
         certs.append(Certificate("betti_rank", None, "skipped",
                                  "closed form valid only for k < n < 2k"))
 
-    return InvariantReport(k, n, s, cat, hdim, tc, tcs, betti_list,
-                           certified, certs)
+    return InvariantReport(k, n, s, cat, hdim, tc, tcs, betti_list, certs)
 
 
 def verify_range(k_range: Iterable[int], n_range: Iterable[int],

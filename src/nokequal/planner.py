@@ -339,18 +339,29 @@ def _sampled_ok(a: Configuration, b: Configuration, ts: list[float],
     the floats that a_i + t * (b_i - a_i) gives for int, float and Fraction
     operands, between its ends float(a_i) and float(b_i). The ends are
     taken as they are because the sum can lose them: after a_i near the
-    top of the float range it rounds a subnormal b_i to 0.0 at t = 1, and
-    an overflowing b_i - a_i makes it NaN at t = 0. A point can leave the
+    top of the float range it rounds a subnormal b_i to 0.0 at t = 1. A
+    column whose difference b_i - a_i is beyond the float range, where
+    that sum would be inf or NaN, runs through (1 - t) * float(a_i) +
+    t * float(b_i) instead, which stays in range. A point can leave the
     space only where two coordinates agree (every collision pattern has at
     least two vertices), so member is asked only at the times where some
-    pair of columns is equal.
+    pair of columns is equal. Exact coordinates beyond the float range
+    raise ParameterOutOfRange.
     """
     cols = []
-    for ai, bi in zip(a, b):
-        fa, d = float(ai), float(bi - ai)
-        col = [fa + t * d for t in ts]
-        col[0], col[-1] = fa, float(bi)
-        cols.append(col)
+    try:
+        for ai, bi in zip(a, b):
+            fa, fb, d = float(ai), float(bi), bi - ai
+            # exact for int, float and Fraction; false for inf and NaN
+            if abs(d) <= _FLOAT_MAX:
+                d = float(d)
+                col = [fa + t * d for t in ts]
+            else:
+                col = [(1 - t) * fa + t * fb for t in ts]
+            col[0], col[-1] = fa, fb
+            cols.append(col)
+    except OverflowError:  # float() of an exact coordinate beyond the range
+        raise ParameterOutOfRange("coordinate beyond the float range") from None
     hits = set()
     for ci, cj in combinations(cols, 2):
         if any(map(eq, ci, cj)):

@@ -317,10 +317,6 @@ class PreorderClass:
     def is_elementary(self) -> bool:
         return self.is_admissible and self.d == 1
 
-    @property
-    def dimension(self) -> int | None:
-        return None if self.d is None else (self.k - 2) * self.d
-
 
 def classify(p: StringPreorder, k: int) -> PreorderClass:
     """Classify p as basic / admissible / non-admissible for parameter k."""

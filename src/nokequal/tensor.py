@@ -202,27 +202,22 @@ def multiplication_image(t: TensorClass) -> CohClass:
 def witness_product(k: int, n: int, i: int, s: int = 2) -> TensorClass:
     """The structured product of s*i zero-divisors, fully normalized.
 
-    s=2: prod_j y_{(j-1)k+1} y_{(j-1)k+2}. s>2: the singles
-    z_{(j-1)k+1,q} for q = 1..s-2 followed by the slot-(s-1) doubles
-    z_{(j-1)k+1,s-1} z_{(j-1)k+2,s-1}. Factors are multiplied
-    left-to-right so that zero terms are pruned as early as possible.
+    The singles z_{(j-1)k+1,q} for q = 1..s-2 followed by the slot-(s-1)
+    doubles z_{(j-1)k+1,s-1} z_{(j-1)k+2,s-1}; for s=2 there are no
+    singles and the doubles are prod_j y_{(j-1)k+1} y_{(j-1)k+2}. Factors
+    are multiplied left-to-right so that zero terms are pruned as early as
+    possible.
     """
     if i < 1 or i * k > n or s < 2:
         raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
     factors: list[TensorClass] = []
-    if s == 2:
+    for q in range(1, s - 1):
         for j in range(1, i + 1):
-            m = (j - 1) * k + 1
-            factors.append(y(k, n, m))
-            factors.append(y(k, n, m + 1))
-    else:
-        for q in range(1, s - 1):
-            for j in range(1, i + 1):
-                factors.append(zero_divisor(ZeroDivisorSpec(k, n, (j - 1) * k + 1, q, s)))
-        for j in range(1, i + 1):
-            m = (j - 1) * k + 1
-            factors.append(zero_divisor(ZeroDivisorSpec(k, n, m, s - 1, s)))
-            factors.append(zero_divisor(ZeroDivisorSpec(k, n, m + 1, s - 1, s)))
+            factors.append(zero_divisor(ZeroDivisorSpec(k, n, (j - 1) * k + 1, q, s)))
+    for j in range(1, i + 1):
+        m = (j - 1) * k + 1
+        factors.append(zero_divisor(ZeroDivisorSpec(k, n, m, s - 1, s)))
+        factors.append(zero_divisor(ZeroDivisorSpec(k, n, m + 1, s - 1, s)))
     out = factors[0]
     for f in factors[1:]:
         out = tensor_cup(out, f)

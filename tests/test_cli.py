@@ -126,6 +126,13 @@ def test_usage_error_is_exit_1(capsys):
     assert "required" in err
 
 
+def test_table_has_no_jobs_option(capsys):
+    code, _, err = run(capsys, "table", "--k-range", "3..4", "--n-range", "3..5",
+                       "--jobs", "2")
+    assert code == 1
+    assert "--jobs" in err
+
+
 def test_unknown_command_is_exit_1(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1

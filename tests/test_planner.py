@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -302,6 +303,23 @@ def test_validate_catches_midpoint_collision():
     assert not validate_path(seg, 3, samples=3)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e308, int(1e308)], ids=["1", "1e308", "int"])
+def test_sampling_sees_a_collision_whose_difference_overflows(scale):
+    # the segment meets (0, 0, 0) at t = 1/2, the middle of 257 samples;
+    # at 1e308 the difference b - a of the first two columns overflows
+    seg = Path(((scale, -scale, 0.0), (-scale, scale, 0.0)))
+    assert not validate_path(seg, 3, samples=257)
+    assert not sampled_validate_path(seg, 3, samples=257)
+    assert not validate_path(seg, 3, strict=True)
+
+
+def test_validate_rejects_exact_coordinates_beyond_float_range():
+    x = (0, 10**400, 1)
+    _, path = plan_conf3_3(x, tuple(10 - v for v in x))
+    with pytest.raises(ParameterOutOfRange):
+        validate_path(path, 3, strict=True)
+
+
 def test_validate_rejects_k_below_2_on_a_clear_path():
     with pytest.raises(ParameterOutOfRange):
         validate_path(Path.through((0, 1, 2), (3, 5, 4)), 1)
@@ -310,7 +328,8 @@ def test_validate_rejects_k_below_2_on_a_clear_path():
 def sampled_validate_path(path, constraint, samples=256, strict=False):
     """validate_path as it was before sample screening: a tuple and a Counter
     for every sample point, the first and last of which are the segment's
-    ends as floats. Kept as the oracle of the screened check; its strict
+    ends as floats, and a column whose difference overflows sampled as
+    (1 - t) a + t b. Kept as the oracle of the screened check; its strict
     part calls the current exact solver."""
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
@@ -327,7 +346,9 @@ def sampled_validate_path(path, constraint, samples=256, strict=False):
     for a, b in path.pieces:
         for i in range(samples):
             t = i / (samples - 1)
-            pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+            # a difference beyond the float range is sampled as a convex sum
+            pt = tuple(ai + t * (bi - ai) if abs(bi - ai) <= sys.float_info.max
+                       else (1 - t) * ai + t * bi for ai, bi in zip(a, b))
             if i in (0, samples - 1):
                 pt = tuple(map(float, b if i else a))
             if not member(pt):

@@ -124,6 +124,29 @@ def test_witness_higher_power_structure():
         assert str(t[0]) == "[1,2](3)[4,5](6)"
 
 
+def s2_witness_product(k, n, i):
+    """The s = 2 body that witness_product had before it was folded into
+    the general TC_s loop, kept as its oracle."""
+    factors = []
+    for j in range(1, i + 1):
+        m = (j - 1) * k + 1
+        factors.append(y(k, n, m))
+        factors.append(y(k, n, m + 1))
+    out = factors[0]
+    for f in factors[1:]:
+        out = tensor_cup(out, f)
+        if out.is_zero:
+            break
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_witness_at_s2_matches_the_y_product(k):
+    for n in range(k, 2 * k + 4):
+        for i in range(1, n // k + 1):
+            assert witness_product(k, n, i, 2) == s2_witness_product(k, n, i), (k, n, i)
+
+
 def test_witness_rejects_bad_parameters():
     with pytest.raises(ParameterOutOfRange):
         witness_product(3, 5, 2, 2)  # ik > n
