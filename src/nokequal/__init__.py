@@ -3,7 +3,6 @@ certified topological-complexity bounds, and a geometric motion planner."""
 
 from .cohomology import (
     CohClass,
-    RelationInstance,
     betti,
     cup,
     cup_length,
@@ -57,7 +56,7 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohClass", "RelationInstance", "betti", "cup", "cup_length",
+    "CohClass", "betti", "cup", "cup_length",
     "monomial_closure", "normalize", "oracle_normal_form",
     "CertificateFailure", "InputError", "NoKEqualError", "TooLarge",
     "InvariantReport", "betti_closed_form", "cat_formula", "hdim_formula",

@@ -24,8 +24,7 @@ from .errors import (
 from .preorder import (
     StringPreorder,
     _assemble,
-    _ksubsets,
-    _submasks,
+    _block_parts,
     admissible_blocks,
     check_degree_params,
     classify,
@@ -77,44 +76,6 @@ class CohClass:
         if not self.terms:
             return "0"
         return "+".join(str(t) for t in sorted(self.terms, key=lambda t: t.sort_key()))
-
-
-@dataclass(frozen=True)
-class RelationInstance:
-    """One instance of the rewriting relation: a partition [n] = A u B u C
-    with card(B) = k-2. Encodes the GF(2) identity
-
-        sum_{a in A} (A\\a)[{a} u B](C)  +  sum_{c in C} (A)[B u {c}](C\\c) = 0.
-    """
-
-    k: int
-    n: int
-    a_mask: int
-    b_mask: int
-    c_mask: int
-
-    def __post_init__(self):
-        if self.a_mask & self.b_mask or self.a_mask & self.c_mask or self.b_mask & self.c_mask:
-            raise ParameterOutOfRange("A, B, C must be disjoint")
-        if self.a_mask | self.b_mask | self.c_mask != (1 << self.n) - 1:
-            raise ParameterOutOfRange("A, B, C must cover 1..n")
-        if self.b_mask.bit_count() != self.k - 2:
-            raise ParameterOutOfRange("card(B) must be k-2")
-
-    def row_terms(self) -> list[StringPreorder]:
-        """All elementary terms of the identity (their GF(2) sum is zero)."""
-        out = []
-        for a in elems_of(self.a_mask):
-            bit = 1 << (a - 1)
-            out.append(_assemble(self.n, [(self.a_mask ^ bit, False),
-                                          (self.b_mask | bit, True),
-                                          (self.c_mask, False)]))
-        for c in elems_of(self.c_mask):
-            bit = 1 << (c - 1)
-            out.append(_assemble(self.n, [(self.a_mask, False),
-                                          (self.b_mask | bit, True),
-                                          (self.c_mask ^ bit, False)]))
-        return out
 
 
 def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
@@ -340,7 +301,12 @@ class OracleNormalForm:
 
 def _oracle_cap() -> int:
     raw = os.environ.get("NOKEQUAL_MAX_ORACLE_DIM")
-    return int(raw) if raw else DEFAULT_ORACLE_CAP
+    if not raw:
+        return DEFAULT_ORACLE_CAP
+    if not raw.isdecimal():
+        raise ParameterOutOfRange(
+            f"NOKEQUAL_MAX_ORACLE_DIM must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _violation_key(p: StringPreorder, k: int) -> tuple:
@@ -353,20 +319,18 @@ def _violation_key(p: StringPreorder, k: int) -> tuple:
 def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
     """Brute-force normal forms in degree d via GF(2) Gaussian elimination.
 
-    Spans all admissible preorders of degree d, imposes every relation
-    instance (for d = 2, every instance multiplied by every nesting
-    elementary factor), eliminates, and reads normal forms off the reduced
-    rows. Feasible for d <= 2 at desk scale (documented: k=3 n<=7 and
-    k=4 n<=9); degree >= 3 is rejected as TooLarge.
+    Spans all admissible preorders of degree d, imposes every relation row,
+    eliminates, and reads normal forms off the reduced rows. There is one
+    row per frame, a degree-d level list with one block of k-2 elements:
+    the terms that move one element of a hole next to that block into it
+    (see _relation_rows). Any degree is accepted; the only limit is the
+    admissible-column cap (NOKEQUAL_MAX_ORACLE_DIM, default 100000), beyond
+    which TooLarge is raised.
     """
-    if d < 0:
-        raise ParameterOutOfRange("d must be non-negative")
-    if d >= 3 or count_admissible(k, n, d) > _oracle_cap():
+    check_degree_params(k, n, d)
+    if count_admissible(k, n, d) > _oracle_cap():
         raise TooLarge(f"oracle infeasible at (k={k}, n={n}, d={d})")
     admissibles = list(enumerate_admissible(k, n, d))
-    if d == 0:
-        p = admissibles[0]
-        return OracleNormalForm(k, n, 0, [p], {p: frozenset([p])}, 0, True)
 
     # Columns: basics first, then non-basics ordered by increasing violation,
     # so that leading-bit pivoting lands on the most violating columns.
@@ -374,7 +338,7 @@ def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
     non_basics = [p for p in admissibles if not classify(p, k).is_basic]
     non_basics.sort(key=lambda p: _violation_key(p, k))
     columns = sorted(basics, key=lambda p: p.sort_key()) + non_basics
-    index = {p: i for i, p in enumerate(columns)}
+    index = {p.levels: i for i, p in enumerate(columns)}
     n_basic = len(basics)
 
     rows = set()
@@ -443,73 +407,38 @@ def _bits_of(x: int):
         x ^= 1 << b
 
 
-def relation_instances(k: int, n: int):
-    """All relation instances: partitions [n] = A u B u C, card(B) = k-2."""
-    all_mask = (1 << n) - 1
-    for b_mask in _ksubsets(all_mask, k - 2):
-        rest = all_mask & ~b_mask
-        for a_mask in _submasks(rest):
-            yield RelationInstance(k, n, a_mask, b_mask, rest & ~a_mask)
-
-
 def _relation_rows(k: int, n: int, d: int):
-    """Relation rows in degree d as lists of admissible preorders.
+    """Relation rows in degree d, each a list of admissible level tuples.
 
-    Degree 1: the instance identities themselves. Degree 2: each instance
-    multiplied by every elementary factor that nests with its terms (any
-    other factor kills every term). Products are written out in their
-    nested closed form here, so the oracle calls no monomial_closure.
+    One row per frame: a level list (H_0)[J_1](H_1) ... [J_d](H_d) of 1..n
+    whose block B = J_i has k-2 elements and every other block k-1. The
+    row holds the terms that move one element of H_{i-1} or H_i into B. It
+    is the relation instance A = everything below B, C = everything above
+    it, times the elementary factors of the other blocks: every other term
+    of that product fails to nest and is zero, and so is every product
+    with a factor that does not nest. The terms are written out in nested
+    closed form, so the oracle calls no monomial_closure.
     """
-    if d == 1:
-        for inst in relation_instances(k, n):
-            yield inst.row_terms()
-        return
-    if d != 2:
-        raise ParameterOutOfRange(f"relation rows are built for d = 1 or 2, got d={d}")
-    for inst in relation_instances(k, n):
-        A, B, C = inst.a_mask, inst.b_mask, inst.c_mask
-        # Family "above": factors (I)[J](K) with I containing A u B, i.e.
-        # J inside C; every product has the fixed tail [J](K).
-        for j_mask in _ksubsets(C, k - 1):
-            rest = C & ~j_mask
-            for extra in _submasks(rest):
-                k_mask = rest & ~extra
-                row = []
-                for a in elems_of(A):
-                    bit = 1 << (a - 1)
-                    row.append(_assemble(n, [(A ^ bit, False),
-                                             (B | bit, True),
-                                             (extra, False),
-                                             (j_mask, True),
-                                             (k_mask, False)]))
-                for c in elems_of(extra):
-                    bit = 1 << (c - 1)
-                    row.append(_assemble(n, [(A, False),
-                                             (B | bit, True),
-                                             (extra ^ bit, False),
-                                             (j_mask, True),
-                                             (k_mask, False)]))
-                if row:
-                    yield row
-        # Family "below": factors (I)[J](K) with I u J inside A; every
-        # product has the fixed head (I)[J].
-        for j_mask in _ksubsets(A, k - 1):
-            for i_mask in _submasks(A & ~j_mask):
-                head = i_mask | j_mask
-                row = []
-                for a in elems_of(A & ~head):
-                    bit = 1 << (a - 1)
-                    row.append(_assemble(n, [(i_mask, False),
-                                             (j_mask, True),
-                                             (A & ~head & ~bit, False),
-                                             (B | bit, True),
-                                             (C, False)]))
-                for c in elems_of(C):
-                    bit = 1 << (c - 1)
-                    row.append(_assemble(n, [(i_mask, False),
-                                             (j_mask, True),
-                                             (A & ~head, False),
-                                             (B | bit, True),
-                                             (C ^ bit, False)]))
-                if row:
-                    yield row
+    for i in range(d):
+        sizes = (k - 1,) * i + (k - 2,) + (k - 1,) * (d - 1 - i)
+        for parts in _block_parts(n, sizes, basic=False):
+            row = _frame_row(parts, i)
+            if row:
+                yield row
+
+
+def _frame_row(parts: list[tuple[int, bool]], i: int) -> list[tuple]:
+    """The row of a frame whose block B is J_{i+1}, as level tuples."""
+    b = 2 * i + 1
+    b_mask = parts[b][0]
+    row = []
+    for h in (b - 1, b + 1):
+        hole = rest = parts[h][0]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            term = list(parts)
+            term[h] = (hole ^ bit, False)
+            term[b] = (b_mask | bit, True)
+            row.append(tuple(lv for lv in term if lv[0]))
+    return row

@@ -411,29 +411,41 @@ def enumerate_admissible(k: int, n: int, d: int) -> Iterator[StringPreorder]:
 
 def _enumerate(k: int, n: int, d: int, basic: bool) -> Iterator[StringPreorder]:
     check_degree_params(k, n, d)
-    # Each remaining block needs the k-1 elements of its J; a basic one
-    # also needs its maximum, in I.
-    need = k if basic else k - 1
+    for parts in _block_parts(n, (k - 1,) * d, basic):
+        yield _assemble(n, parts)
 
-    def rec(pool: int, chosen: list[tuple[int, int]]):
-        spare = pool.bit_count() - (d - len(chosen)) * need
+
+def _block_parts(n: int, sizes: Sequence[int],
+                 basic: bool) -> Iterator[list[tuple[int, bool]]]:
+    """Level lists (H_0)[J_1](H_1) ... [J_d](H_d) partitioning 1..n with
+    card(J_i) = sizes[i-1]; with basic, H_i holds max(J_i u H_i) for i >= 1.
+    Empty holes stay in the list and every J_i stays Full, so J_i is at
+    position 2i-1. Order: depth-first lexicographic on (J_1, H_1, ...,
+    J_d, H_d) as bitmask integers, smallest first; H_0 is the remainder.
+    """
+    d = len(sizes)
+    # Each remaining block needs the elements of its J; a basic one also
+    # needs its maximum, in the hole after it.
+    extra = 1 if basic else 0
+    need = [sum(sizes[t:]) + extra * (d - t) for t in range(d + 1)]
+
+    def rec(pool: int, chosen: list[tuple[int, bool]]):
+        t = len(chosen) // 2
+        spare = pool.bit_count() - need[t]
         if spare < 0:
             return
-        if len(chosen) == d:
-            parts: list[tuple[int, bool]] = [(pool, False)]
-            for j_mask, i_mask in chosen:
-                parts.append((j_mask, True))
-                parts.append((i_mask, False))
-            yield _assemble(n, parts)
+        if t == d:
+            yield [(pool, False)] + chosen
             return
-        # the next I takes the spare elements and what its block needs there
-        hole_cap = spare + need - (k - 1)
-        for j_mask in _ksubsets(pool, k - 1):
+        # the next hole takes the spare elements and what its block needs there
+        hole_cap = spare + extra
+        for j_mask in _ksubsets(pool, sizes[t]):
             rest = pool & ~j_mask
             for i_mask in _submasks(rest):
                 if i_mask.bit_count() <= hole_cap and (
                         not basic or is_basic_block(j_mask, i_mask)):
-                    yield from rec(rest & ~i_mask, chosen + [(j_mask, i_mask)])
+                    yield from rec(rest & ~i_mask,
+                                   chosen + [(j_mask, True), (i_mask, False)])
 
     yield from rec((1 << n) - 1, [])
 

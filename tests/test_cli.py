@@ -204,3 +204,23 @@ def test_oracle_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NOKEQUAL_MAX_ORACLE_DIM", "5")
     code, _, _ = run(capsys, "oracle", "--k", "3", "--n", "5", "--d", "1")
     assert code == 3
+
+
+def test_oracle_in_degree_3(capsys):
+    code, out, _ = run(capsys, "oracle", "--k", "3", "--n", "7", "--d", "3")
+    assert code == 0
+    assert "consistent: yes" in out
+
+
+@pytest.mark.parametrize("k, n", [(2, 64), (3, 70)])
+def test_oracle_out_of_range_is_exit_2(capsys, k, n):
+    code, out, err = run(capsys, "oracle", "--k", str(k), "--n", str(n), "--d", "1")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+def test_malformed_oracle_cap_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("NOKEQUAL_MAX_ORACLE_DIM", "abc")
+    code, out, err = run(capsys, "oracle", "--k", "3", "--n", "5", "--d", "1")
+    assert (code, out) == (2, "")
+    assert "NOKEQUAL_MAX_ORACLE_DIM" in err

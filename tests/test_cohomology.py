@@ -10,7 +10,8 @@ import nokequal
 from nokequal import cohomology
 from nokequal.cohomology import (
     CohClass,
-    RelationInstance,
+    _frame_row,
+    _relation_rows,
     betti,
     cat_witness,
     cup,
@@ -18,7 +19,6 @@ from nokequal.cohomology import (
     monomial_closure,
     normalize,
     oracle_normal_form,
-    relation_instances,
 )
 from nokequal.errors import (
     AmbientMismatch,
@@ -32,6 +32,9 @@ from nokequal.errors import (
 from nokequal.invariants import invariant_report
 from nokequal.preorder import (
     RelationMatrix,
+    _assemble,
+    _ksubsets,
+    _submasks,
     admissible_blocks,
     classify,
     discrete,
@@ -247,23 +250,135 @@ def test_normalize_overflow_degree_is_zero():
         assert normalize(q, 3).is_zero
 
 
+def row_sum(row, k, n):
+    """GF(2) sum of the normal forms of a relation row's terms."""
+    total = CohClass.zero(k, n)
+    for t in row:
+        total = total + normalize(make_preorder(n, t), k)
+    return total
+
+
 def test_relation_instance_sums_to_zero():
-    inst = RelationInstance(3, 4, a_mask=0b0011, b_mask=0b0100, c_mask=0b1000)
-    total = CohClass.zero(3, 4)
-    for t in inst.row_terms():
-        total = total + normalize(t, 3)
-    assert total.is_zero
+    # the instance A = {1,2}, B = {3}, C = {4} is the frame (A)[B](C)
+    row = _frame_row([(0b0011, False), (0b0100, True), (0b1000, False)], 0)
+    assert row in list(_relation_rows(3, 4, 1))
+    assert row_sum(row, 3, 4).is_zero
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=30)
 def test_every_relation_instance_normalizes_to_zero(seed):
-    insts = list(relation_instances(3, 5))
-    inst = insts[seed % len(insts)]
-    total = CohClass.zero(3, 5)
-    for t in inst.row_terms():
-        total = total + normalize(t, 3)
-    assert total.is_zero
+    # the degree-1 rows are the 5 * 2**4 instances [5] = A u B u C, card(B) = 1
+    rows = list(_relation_rows(3, 5, 1))
+    assert len(rows) == 80
+    assert row_sum(rows[seed % len(rows)], 3, 5).is_zero
+
+
+def random_frame(rng, k, n, d, i):
+    """A uniformly random frame of degree d on 1..n whose block B is J_{i+1}."""
+    elements = list(range(1, n + 1))
+    rng.shuffle(elements)
+    parts = [(0, False)]
+    for t in range(d):
+        size = k - 2 if t == i else k - 1
+        parts += [(mask_of(elements[:size]), True), (0, False)]
+        del elements[:size]
+    for e in elements:
+        h = 2 * rng.randrange(d + 1)
+        parts[h] = (parts[h][0] | 1 << (e - 1), False)
+    return parts
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_sampled_degree_3_rows_normalize_to_zero(n):
+    # normalize is well defined on the quotient: each relation row, with B at
+    # every position, sums to zero. Sampled, since (3, 9, 3) alone has
+    # 483,840 admissibles.
+    rng = random.Random(n)
+    checked = 0
+    while checked < 300:
+        i = checked % 3
+        row = _frame_row(random_frame(rng, 3, n, 3, i), i)
+        if row:
+            assert row_sum(row, 3, n).is_zero, (n, i, row)
+            checked += 1
+
+
+def old_relation_instances(k, n):
+    all_mask = (1 << n) - 1
+    for b_mask in _ksubsets(all_mask, k - 2):
+        rest = all_mask & ~b_mask
+        for a_mask in _submasks(rest):
+            yield a_mask, b_mask, rest & ~a_mask
+
+
+def old_relation_rows(k, n, d):
+    """The hand-written degree-1 and degree-2 rows the frames replaced."""
+    if d == 1:
+        for A, B, C in old_relation_instances(k, n):
+            row = []
+            for a in elems_of(A):
+                bit = 1 << (a - 1)
+                row.append(_assemble(n, [(A ^ bit, False), (B | bit, True), (C, False)]))
+            for c in elems_of(C):
+                bit = 1 << (c - 1)
+                row.append(_assemble(n, [(A, False), (B | bit, True), (C ^ bit, False)]))
+            yield row
+        return
+    for A, B, C in old_relation_instances(k, n):
+        # Family "above": factors (I)[J](K) with I containing A u B, i.e.
+        # J inside C; every product has the fixed tail [J](K).
+        for j_mask in _ksubsets(C, k - 1):
+            rest = C & ~j_mask
+            for extra in _submasks(rest):
+                k_mask = rest & ~extra
+                row = []
+                for a in elems_of(A):
+                    bit = 1 << (a - 1)
+                    row.append(_assemble(n, [(A ^ bit, False),
+                                             (B | bit, True),
+                                             (extra, False),
+                                             (j_mask, True),
+                                             (k_mask, False)]))
+                for c in elems_of(extra):
+                    bit = 1 << (c - 1)
+                    row.append(_assemble(n, [(A, False),
+                                             (B | bit, True),
+                                             (extra ^ bit, False),
+                                             (j_mask, True),
+                                             (k_mask, False)]))
+                if row:
+                    yield row
+        # Family "below": factors (I)[J](K) with I u J inside A; every
+        # product has the fixed head (I)[J].
+        for j_mask in _ksubsets(A, k - 1):
+            for i_mask in _submasks(A & ~j_mask):
+                head = i_mask | j_mask
+                row = []
+                for a in elems_of(A & ~head):
+                    bit = 1 << (a - 1)
+                    row.append(_assemble(n, [(i_mask, False),
+                                             (j_mask, True),
+                                             (A & ~head & ~bit, False),
+                                             (B | bit, True),
+                                             (C, False)]))
+                for c in elems_of(C):
+                    bit = 1 << (c - 1)
+                    row.append(_assemble(n, [(i_mask, False),
+                                             (j_mask, True),
+                                             (A & ~head, False),
+                                             (B | bit, True),
+                                             (C ^ bit, False)]))
+                if row:
+                    yield row
+
+
+@pytest.mark.parametrize("k, n", [(3, n) for n in range(3, 8)] + [(4, n) for n in range(4, 9)])
+def test_frame_rows_match_the_hand_written_families(k, n):
+    for d in (1, 2):
+        old = {frozenset(p.levels for p in row) for row in old_relation_rows(k, n, d)}
+        new = {frozenset(row) for row in _relation_rows(k, n, d)}
+        assert new == old, (k, n, d)
 
 
 def test_betti_values():
@@ -370,6 +485,21 @@ def test_oracle_rejects_high_degree():
 def test_oracle_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("NOKEQUAL_MAX_ORACLE_DIM", "10")
     with pytest.raises(TooLarge):
+        oracle_normal_form(3, 5, 1)
+
+
+@pytest.mark.parametrize("k, n", [(3, 7), (4, 9)])
+def test_oracle_in_degree_3_is_consistent(k, n):
+    # d = 3 > floor(n/k): every admissible is eliminated
+    o = oracle_normal_form(k, n, 3)
+    assert (o.basis, o.consistent, o.issues) == ([], True, [])
+    assert o.rank == len(o.normal_form)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+def test_oracle_rejects_a_malformed_cap(monkeypatch, raw):
+    monkeypatch.setenv("NOKEQUAL_MAX_ORACLE_DIM", raw)
+    with pytest.raises(ParameterOutOfRange):
         oracle_normal_form(3, 5, 1)
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import nokequal
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nokequal").glob("*.py"))
 
 
@@ -14,3 +16,8 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in nokequal.__all__ if not hasattr(nokequal, name)]
+    assert missing == []
