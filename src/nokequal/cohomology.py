@@ -204,10 +204,10 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
         raise AmbientMismatch("classes live in different rings")
     k, n = a.k, a.n
     acc: set[StringPreorder] = set()
+    b_factors = [factor_admissible(pb, k) for pb in b.terms]
     for pa in a.terms:
         fa = factor_admissible(pa, k)
-        for pb in b.terms:
-            fb = factor_admissible(pb, k)
+        for fb in b_factors:
             mono = monomial_closure(fa + fb, k, n)
             if mono is not None:
                 acc ^= normalize(mono, k).terms
@@ -309,13 +309,6 @@ def _oracle_cap() -> int:
     return int(raw)
 
 
-def _violation_key(p: StringPreorder, k: int) -> tuple:
-    blocks = admissible_blocks(p, k)
-    bad = sum(1 for j, i in blocks
-              if (j | i).bit_length() == j.bit_length())
-    return (bad, p.sort_key())
-
-
 def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
     """Brute-force normal forms in degree d via GF(2) Gaussian elimination.
 
@@ -332,12 +325,19 @@ def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
         raise TooLarge(f"oracle infeasible at (k={k}, n={n}, d={d})")
     admissibles = list(enumerate_admissible(k, n, d))
 
-    # Columns: basics first, then non-basics ordered by increasing violation,
-    # so that leading-bit pivoting lands on the most violating columns.
-    basics = [p for p in admissibles if classify(p, k).is_basic]
-    non_basics = [p for p in admissibles if not classify(p, k).is_basic]
-    non_basics.sort(key=lambda p: _violation_key(p, k))
-    columns = sorted(basics, key=lambda p: p.sort_key()) + non_basics
+    # Columns: basics first, then non-basics ordered by increasing violation
+    # (the number of non-basic blocks), so that leading-bit pivoting lands
+    # on the most violating columns.
+    basics, non_basics = [], []
+    for p in admissibles:
+        bad = sum(not is_basic_block(j, i) for j, i in admissible_blocks(p, k))
+        if bad:
+            non_basics.append((bad, p))
+        else:
+            basics.append(p)
+    non_basics.sort(key=lambda bp: (bp[0], bp[1].sort_key()))
+    columns = (sorted(basics, key=lambda p: p.sort_key())
+               + [p for _, p in non_basics])
     index = {p.levels: i for i, p in enumerate(columns)}
     n_basic = len(basics)
 

@@ -9,9 +9,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress
-from math import isfinite, lcm, sqrt
-from operator import eq
+from itertools import chain, combinations
+from math import ceil, floor, isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -330,10 +329,36 @@ def pullback_rule(alpha: Callable, beta: Callable, homotopy_H: Callable,
     return Path(tuple(pts))
 
 
-def _sampled_ok(a: Configuration, b: Configuration, ts: list[float],
+# The rounding bound of a sampled column (see _sampled_ok): c u with c = 8
+# and u = 2**-53, and an absolute term that covers underflow
+_REL_BOUND = 2.0 ** -50
+_ABS_BOUND = 2.0 ** -1072
+
+
+def _window(ci: tuple, cj: tuple, n: int) -> range:
+    """The interior sample indices m (1 <= m < n) at which the columns ci
+    and cj, each (fa, fb, d) with d None for an overflow column, can be
+    equal; see _sampled_ok for why the window holds every such m."""
+    (fa, _, d), (ga, _, e) = ci, cj
+    if d is None or e is None:
+        return range(1, n)
+    bound = (abs(fa) + abs(d) + abs(ga) + abs(e)) * _REL_BOUND + _ABS_BOUND
+    if not isfinite(bound):
+        return range(1, n)
+    # a finite bound keeps e0, s and every value of both columns finite
+    e0, s = fa - ga, d - e
+    if s == 0:
+        return range(1, n) if abs(e0) <= bound else range(0)
+    lo, hi = sorted(((-e0 - bound) / s, (-e0 + bound) / s))
+    first = max(lo * n - 2, 1.0)
+    last = min(hi * n + 2, n - 1.0)
+    return range(ceil(first), floor(last) + 1) if first <= last else range(0)
+
+
+def _sampled_ok(a: Configuration, b: Configuration, samples: int,
                 member: Callable[[tuple], bool]) -> bool:
-    """True iff member holds at every point a + t(b - a), t in ts, which
-    run from 0 to 1.
+    """True iff member holds at every point a + t(b - a) for the times
+    t = m/N, m = 0..N, N = samples - 1.
 
     Coordinate i runs through the column float(a_i) + t * float(b_i - a_i),
     the floats that a_i + t * (b_i - a_i) gives for int, float and Fraction
@@ -345,28 +370,58 @@ def _sampled_ok(a: Configuration, b: Configuration, ts: list[float],
     t * float(b_i) instead, which stays in range. A point can leave the
     space only where two coordinates agree (every collision pattern has at
     least two vertices), so member is asked only at the times where some
-    pair of columns is equal. Exact coordinates beyond the float range
-    raise ParameterOutOfRange.
+    pair of columns is equal, in increasing order. Exact coordinates
+    beyond the float range raise ParameterOutOfRange.
+
+    No column is built; each pair compares its ends directly and evaluates
+    the column formula only inside a window of indices. With fa = float(a_i)
+    and d = float(b_i - a_i), the value fl(fa + fl(t d)) at an interior
+    index m, where t = fl(m/N), is within
+
+        B_i = c u (|fa| + |d|) + eta
+
+    of the exact fa + (m/N) d, with u = 2**-53 and eta covering underflow:
+    t, the product and the sum are each rounded once, which gives at most
+    u |fa| + (3u + u^2) |d|. Two columns can therefore be equal at m only
+    where the affine difference E(T) = e0 + T s, e0 = fa_i - fa_j and
+    s = d_i - d_j, has |E(m/N)| <= B_i + B_j. Those m form one window
+    around the crossing time -e0/s, of O(1) width when the columns cross;
+    it is empty when they are apart at both ends and do not cross, and all
+    of 1..N-1 when s = 0 and |e0| is within the bound. _window takes c = 8,
+    which also covers the rounding of e0, s and the bound (about 4u in all
+    would do), and widens the window by two indices for the rounding of
+    its ends. A pair with an overflow column, or whose bound is not finite,
+    takes every interior index. Every index in a window is compared on the
+    real float values, so the hits, and the points member is asked at, are
+    those of the full columns.
     """
+    n = samples - 1
     cols = []
     try:
         for ai, bi in zip(a, b):
             fa, fb, d = float(ai), float(bi), bi - ai
             # exact for int, float and Fraction; false for inf and NaN
-            if abs(d) <= _FLOAT_MAX:
-                d = float(d)
-                col = [fa + t * d for t in ts]
-            else:
-                col = [(1 - t) * fa + t * fb for t in ts]
-            col[0], col[-1] = fa, fb
-            cols.append(col)
+            cols.append((fa, fb, float(d) if abs(d) <= _FLOAT_MAX else None))
     except OverflowError:  # float() of an exact coordinate beyond the range
         raise ParameterOutOfRange("coordinate beyond the float range") from None
+
+    def at(col: tuple, m: int) -> float:
+        fa, fb, d = col
+        if m == 0:
+            return fa
+        if m == n:
+            return fb
+        t = m / n
+        return fa + t * d if d is not None else (1 - t) * fa + t * fb
+
     hits = set()
     for ci, cj in combinations(cols, 2):
-        if any(map(eq, ci, cj)):
-            hits.update(compress(range(len(ts)), map(eq, ci, cj)))
-    return all(member(tuple(col[i] for col in cols)) for i in sorted(hits))
+        if ci[0] == cj[0]:
+            hits.add(0)
+        if ci[1] == cj[1]:
+            hits.add(n)
+        hits.update(m for m in _window(ci, cj, n) if at(ci, m) == at(cj, m))
+    return all(member(tuple(at(col, m) for col in cols)) for m in sorted(hits))
 
 
 def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
@@ -374,10 +429,18 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     """Check that a path stays inside the configuration space.
 
     Sampled mode checks `samples` uniform points per segment (endpoints
-    included): each coordinate is evaluated as one column over all sample
-    times, and the full membership test runs only at the times where two
-    columns are equal, since a point with pairwise distinct coordinates is
-    in every space. Strict mode additionally solves, per segment and per
+    included), each coordinate evaluated in floats at every sample time,
+    and runs the full membership test only at the times where two
+    coordinates are equal, since a point with pairwise distinct
+    coordinates is in every space. No sample list is built: a coordinate
+    is within a rounding bound B_i = c u (|a_i| + |b_i - a_i|) + eta of
+    its exact value, so two coordinates can be equal only at the samples
+    where their exact difference, affine in t, is within B_i + B_j; those
+    form a window of a few samples around their crossing time, and only
+    the window is evaluated (see _sampled_ok). The cost per segment does
+    not depend on `samples` unless two coordinates stay that close along
+    the segment or a difference b_i - a_i is beyond the float range.
+    Strict mode additionally solves, per segment and per
     collision pattern, the all-equal linear system exactly; it catches
     crossings that land between samples.
     """
@@ -395,9 +458,8 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
         if k < 2:
             raise ParameterOutOfRange("k must be >= 2")
         member = lambda pt: in_conf_k(pt, k)
-    ts = [i / (samples - 1) for i in range(samples)]
     for a, b in path.pieces:
-        if not _sampled_ok(a, b, ts, member):
+        if not _sampled_ok(a, b, samples, member):
             return False
         if strict:
             for sigma in patterns:

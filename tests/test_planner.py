@@ -1,8 +1,10 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from operator import eq
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,9 @@ from nokequal.errors import (
 from nokequal.planner import (
     Path,
     SimplicialComplex,
+    _FLOAT_MAX,
     _collision_time,
+    _sampled_ok,
     in_conf_complex,
     in_conf_k,
     inverse_reduce,
@@ -428,6 +432,113 @@ def test_screened_sampling_matches_the_counter_oracle():
             rejected += not got
     # the stream must exercise both verdicts
     assert 0.2 < rejected / checked < 0.8
+
+
+def column_sampled_ok(a, b, ts, member):
+    """_sampled_ok as it was before the window screen, verbatim: each
+    coordinate is built as a full column over the sample times ts, and
+    every pair of columns is compared at every time. Kept as the oracle
+    of the screen."""
+    cols = []
+    try:
+        for ai, bi in zip(a, b):
+            fa, fb, d = float(ai), float(bi), bi - ai
+            # exact for int, float and Fraction; false for inf and NaN
+            if abs(d) <= _FLOAT_MAX:
+                d = float(d)
+                col = [fa + t * d for t in ts]
+            else:
+                col = [(1 - t) * fa + t * fb for t in ts]
+            col[0], col[-1] = fa, fb
+            cols.append(col)
+    except OverflowError:  # float() of an exact coordinate beyond the range
+        raise ParameterOutOfRange("coordinate beyond the float range") from None
+    hits = set()
+    for ci, cj in combinations(cols, 2):
+        if any(map(eq, ci, cj)):
+            hits.update(compress(range(len(ts)), map(eq, ci, cj)))
+    return all(member(tuple(col[i] for col in cols)) for i in sorted(hits))
+
+
+EDGE_KINDS = ("dyadic", "ulp", "subnormal", "overflow", "fraction", "int")
+
+
+def edge_segments(seed, count):
+    """A seeded stream of (a, b, samples) at the edges of the window screen:
+    dyadic columns that meet a base column exactly at a sample time,
+    columns a few ulps off a base column in start and slope at scales
+    1e-300..1e300 (as Fractions, so that their floats are exactly those),
+    subnormal columns down to 2**-1074, columns near 1e308 whose
+    differences overflow, Fraction and int columns, and mixtures."""
+    rng = random.Random(seed)
+    big = (1e308, 1.7e308, int(1e308), sys.float_info.max)
+    for _ in range(count):
+        samples = rng.choice((2, 3, 255, 256, 257, 1000))
+        n = samples - 1
+        dim = rng.randint(3, 5)
+        kinds = ([rng.choice(EDGE_KINDS)] * dim if rng.random() < 0.7
+                 else [rng.choice(EDGE_KINDS) for _ in range(dim)])
+        scale = 2.0 ** rng.randint(-60, 60)
+        base, rise = rng.randint(-50, 50), rng.randint(-50, 50)
+        size = 10 ** rng.uniform(-300, 300)
+        fa0 = size * rng.uniform(-1, 1)
+        d0 = size * 10 ** rng.uniform(-3, 3) * rng.uniform(-1, 1)
+        unit = 2.0 ** (-1074 + rng.randint(0, 60))
+        a, b = [], []
+        for kind in kinds:
+            if kind == "dyadic":  # meets (base, base + rise) at t = m/n
+                m, j = rng.randint(0, n), rng.randint(-3, 3)
+                ai, bi = (base - m * j) * scale, (base + rise + (n - m) * j) * scale
+            elif kind == "ulp":
+                fa, d = fa0, d0
+                for _ in range(rng.randint(0, 3)):
+                    fa = math.nextafter(fa, rng.choice((-math.inf, math.inf)))
+                for _ in range(rng.randint(0, 3)):
+                    d = math.nextafter(d, rng.choice((-math.inf, math.inf)))
+                ai, bi = Fraction(fa), Fraction(fa) + Fraction(d)
+            elif kind == "subnormal":
+                ai, bi = rng.randint(-8, 8) * unit, rng.randint(-8, 8) * unit
+            elif kind == "overflow":
+                c = rng.choice(big)
+                ai, bi = rng.choice((c, -c, 0.0)), rng.choice((c, -c, 0.0))
+            elif kind == "fraction":
+                ai, bi = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+                          for _ in "ab")
+            else:
+                ai, bi = rng.randint(-3, 3), rng.randint(-3, 3)
+            a.append(ai)
+            b.append(bi)
+        yield tuple(a), tuple(b), samples
+
+
+def _points_asked(screen, a, b, times):
+    asked = []
+    screen(a, b, times, lambda pt: asked.append(pt) or True)
+    return asked
+
+
+def test_window_screen_asks_member_at_the_oracle_points():
+    interior = 0
+    for a, b, samples in edge_segments(2027, 4000):
+        ts = [i / (samples - 1) for i in range(samples)]
+        want = _points_asked(column_sampled_ok, a, b, ts)
+        assert _points_asked(_sampled_ok, a, b, samples) == want, (a, b, samples)
+        interior += any(pt not in (tuple(map(float, a)), tuple(map(float, b)))
+                        for pt in want)
+    # the stream must meet columns between the ends, not only at them
+    assert interior > 1000
+
+
+def test_validate_path_memory_does_not_grow_with_samples():
+    seg = Path.through((0.0, 1.0, 2.0), (3.0, 5.0, 7.0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert validate_path(seg, 3, samples=10**5, strict=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def fraction_collision_time(x, y, idxs):
