@@ -351,7 +351,10 @@ def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
 
     pivots: dict[int, int] = {}
     issues: list[str] = []
-    for row in sorted(rows, reverse=True):
+    # Shortest rows first, which keeps the forward pass's row additions few.
+    # The order cannot change the result: after back-substitution the rows
+    # are the reduced echelon form, which depends only on the row space.
+    for row in sorted(rows, key=lambda r: (r.bit_count(), r.bit_length())):
         while row:
             lead = row.bit_length() - 1
             piv = pivots.get(lead)

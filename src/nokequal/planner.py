@@ -1,16 +1,18 @@
 """Geometric side: membership predicates, the scale/offset reduction, and an
 explicit two-domain motion planner for three points on the line with at most
-a double collision."""
+a double collision.
+
+A configuration is in a space iff each class of equal coordinates is
+allowed: fewer than k members in Conf_k(R,n), a face of K in Conf_K(R,n).
+Membership and the exact segment test (_exit_time) apply this one rule."""
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
-from math import ceil, floor, isfinite, lcm, sqrt
+from math import ceil, floor, inf, isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -23,12 +25,19 @@ from .errors import (
 Configuration = Sequence[float]
 
 
+def _classes(x: Configuration) -> Iterable[list[int]]:
+    """The classes of equal coordinates of x, as lists of 1-based indices."""
+    classes: dict = {}
+    for i, v in enumerate(x, 1):
+        classes.setdefault(v, []).append(i)
+    return classes.values()
+
+
 def in_conf_k(x: Configuration, k: int) -> bool:
-    """True iff no value occurs with multiplicity >= k."""
+    """True iff every class of equal coordinates has fewer than k members."""
     if k < 2:
         raise ParameterOutOfRange("k must be >= 2")
-    counts = Counter(x)
-    return not counts or max(counts.values()) < k
+    return all(len(c) < k for c in _classes(x))
 
 
 @dataclass(frozen=True)
@@ -72,33 +81,12 @@ class SimplicialComplex:
                  for c in combinations(range(1, n + 1), size)]
         return cls(n, frozenset(faces))
 
-    def minimal_nonfaces(self) -> list[frozenset[int]]:
-        """Inclusion-minimal subsets of {1..n} that are not faces."""
-        return list(self._minimal_nonfaces)
-
-    @cached_property
-    def _minimal_nonfaces(self) -> tuple[frozenset[int], ...]:
-        # computed once per complex: the scan visits all 2^n subsets
-        out = []
-        for size in range(1, self.n + 1):
-            for c in combinations(range(1, self.n + 1), size):
-                s = frozenset(c)
-                if s in self.faces:
-                    continue
-                if all(s - {v} in self.faces for v in s):
-                    out.append(s)
-        return tuple(out)
-
 
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
-    """True iff no minimal non-face of K indexes an all-equal block of x."""
+    """True iff every class of two or more equal coordinates is a face of K."""
     if len(x) != K.n:
         raise DimensionMismatch(f"{len(x)} coordinates for {K.n} vertices")
-    for sigma in K._minimal_nonfaces:
-        vals = {x[i - 1] for i in sigma}
-        if len(vals) == 1:
-            return False
-    return True
+    return all(len(c) < 2 or frozenset(c) in K.faces for c in _classes(x))
 
 
 def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
@@ -175,47 +163,58 @@ class Path:
         return Path(self.points[::-1])
 
 
-def _ratio(v) -> tuple[int, int]:
-    try:
-        return v.as_integer_ratio()
-    except (OverflowError, ValueError):
-        raise NotInSpace(f"coordinate {v!r} is not a finite real") from None
+def _exit_time(x: Configuration, y: Configuration,
+               ok: Callable[[list[int]], bool]) -> Optional[Fraction]:
+    """First time t in [0,1] at which a class of equal coordinates of
+    (1 - t) x + t y, a list of 1-based indices, is not ok; None if none is.
 
-
-def _collision_time(x: Configuration, y: Configuration,
-                    idxs: Sequence[int]) -> Optional[Fraction]:
-    """First time t in [0,1] at which the coordinates indexed by idxs (1-based)
-    are all equal along the segment [x, y], or None.
+    ok must be downward closed, as both constraints are (fewer than k
+    members; a face of K). Each pair i < j meets at one time a/b, never, or
+    all along the segment. A class at t of two or more holds a pair that
+    meets there. If one meets only at t, the class is its i's class at t,
+    tested there. If all are equal all along, the class lies in the class
+    at t = 0 of any member, which is tested and, by downward closure, is
+    not ok either: 0 is the first bad time. A pair whose time is not
+    earlier than the first bad time found so far is skipped.
 
     Exact rational arithmetic throughout: every coordinate, a float
-    included, is the rational it denotes, and all of them are put over one
-    common denominator so that the solve runs on integers. The answer does
-    not depend on the scale of the coordinates; the boundary between the
-    planner's two domains is measure zero, where a tolerance would decide
-    it by scale.
+    included, is the rational it denotes, and all 2n are put over one
+    common denominator den once; at t = a/b coordinate l is
+    (x_l (b - a) + y_l a) / (den b). The answer does not depend on scale:
+    the boundary between the planner's domains is measure zero, where a
+    tolerance would decide it by scale.
     """
-    ids = sorted(idxs)
-    ratios = [_ratio(z[i - 1]) for z in (x, y) for i in ids]
-    den = lcm(*(d for _, d in ratios))
-    nums = [n * (den // d) for n, d in ratios]
-    xs, ys = nums[:len(ids)], nums[len(ids):]
-    t = None  # (numerator, positive denominator)
-    for xi, xj, yi, yj in zip(xs, xs[1:], ys, ys[1:]):
-        a = xi - xj
-        b = (yi - yj) - a
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        if b < 0:
-            a, b = -a, -b
-        if t is None:
-            t = (-a, b)
-        elif -a * t[1] != t[0] * b:
-            return None
-    if t is None:
-        return Fraction(0)  # the whole segment is collided
-    return Fraction(*t) if 0 <= t[0] <= t[1] else None
+    n = len(x)
+    try:
+        ratios = [v.as_integer_ratio() for v in (*x, *y)]
+    except (OverflowError, ValueError):  # inf or NaN
+        v = next(v for v in (*x, *y) if v != v or v in (inf, -inf))
+        raise NotInSpace(f"coordinate {v!r} is not a finite real") from None
+    den = lcm(*[q for _, q in ratios])
+    nums = [p * (den // q) for p, q in ratios]
+    xs, ys = nums[:n], nums[n:]
+    best = None  # the first bad time found so far, (a, b) with b > 0
+    for i in range(n - 1):
+        xi, yi = xs[i], ys[i]
+        for j in range(i + 1, n):
+            # (1 - t) e + t f = 0 at t = e / (e - f), in [0,1] unless e
+            # and f have the same strict sign
+            e, f = xi - xs[j], yi - ys[j]
+            if e > 0 and f > 0 or e < 0 and f < 0:
+                continue
+            a, b = e, e - f
+            if b < 0:
+                a, b = -a, -b
+            elif b == 0:
+                b = 1  # e = f = 0, equal all along: tested at t = 0
+            if best and a * best[1] >= best[0] * b:
+                continue
+            c = b - a
+            v = xi * c + yi * a
+            if not ok([l + 1 for l in range(n)
+                       if l == i or l == j or xs[l] * c + ys[l] * a == v]):
+                best = (a, b)
+    return Fraction(*best) if best else None
 
 
 def _cross(u: Sequence[float], v: Sequence[float]) -> tuple:
@@ -290,7 +289,7 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
         raise DimensionMismatch("planner works on 3 coordinates")
     if not in_conf_k(x, 3) or not in_conf_k(y, 3):
         raise NotInSpace("endpoint has a triple collision")
-    t = _collision_time(x, y, (1, 2, 3))
+    t = _exit_time(x, y, lambda c: len(c) < 3)
     if t is None:
         return 0, Path.through(x, y)
     return 1, Path.through(x, _detour_waypoint(x, y, t), y)
@@ -368,8 +367,8 @@ def _sampled_ok(a: Configuration, b: Configuration, samples: int,
     column whose difference b_i - a_i is beyond the float range, where
     that sum would be inf or NaN, runs through (1 - t) * float(a_i) +
     t * float(b_i) instead, which stays in range. A point can leave the
-    space only where two coordinates agree (every collision pattern has at
-    least two vertices), so member is asked only at the times where some
+    space only where two coordinates agree (a class of one is always
+    allowed), so member is asked only at the times where some
     pair of columns is equal, in increasing order. Exact coordinates
     beyond the float range raise ParameterOutOfRange.
 
@@ -440,9 +439,11 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     the window is evaluated (see _sampled_ok). The cost per segment does
     not depend on `samples` unless two coordinates stay that close along
     the segment or a difference b_i - a_i is beyond the float range.
-    Strict mode additionally solves, per segment and per
-    collision pattern, the all-equal linear system exactly; it catches
-    crossings that land between samples.
+    Membership, sampled and strict, is the class test: every class of
+    equal coordinates has fewer than k members, or is a face of K. Strict
+    mode additionally finds, per segment, the first exact time at which a
+    class is not allowed (_exit_time); it catches crossings that land
+    between samples.
     """
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
@@ -450,19 +451,17 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     if isinstance(constraint, SimplicialComplex):
         if dim != constraint.n:
             raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
-        patterns = constraint.minimal_nonfaces()
-        member = lambda pt: in_conf_complex(pt, constraint)
+        faces = constraint.faces
+        ok = lambda c: frozenset(c) in faces
     else:
         k = constraint
-        patterns = [frozenset(c) for c in combinations(range(1, dim + 1), k)]
         if k < 2:
             raise ParameterOutOfRange("k must be >= 2")
-        member = lambda pt: in_conf_k(pt, k)
+        ok = lambda c: len(c) < k
+    member = lambda pt: all(map(ok, _classes(pt)))
     for a, b in path.pieces:
         if not _sampled_ok(a, b, samples, member):
             return False
-        if strict:
-            for sigma in patterns:
-                if _collision_time(a, b, sorted(sigma)) is not None:
-                    return False
+        if strict and _exit_time(a, b, ok) is not None:
+            return False
     return True

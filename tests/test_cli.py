@@ -113,6 +113,16 @@ def test_check_complex(capsys):
     assert (code, out.strip()) == (0, "false")
 
 
+def test_check_complex_on_24_points(capsys):
+    edges = [[i, j] for i in range(1, 25) for j in range(i + 1, 25)]
+    K = json.dumps({"n": 24, "facets": edges})
+    for config, want in (([0, 0] + list(range(1, 23)), "true"),
+                         ([0, 0, 0] + list(range(1, 22)), "false")):
+        code, out, _ = run(capsys, "check", "--config", json.dumps(config),
+                           "--complex", K)
+        assert (code, out.strip()) == (0, want)
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "--k", "3", "--n", "4", "--d", "1")
     assert code == 0

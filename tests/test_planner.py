@@ -19,7 +19,7 @@ from nokequal.planner import (
     Path,
     SimplicialComplex,
     _FLOAT_MAX,
-    _collision_time,
+    _exit_time,
     _sampled_ok,
     in_conf_complex,
     in_conf_k,
@@ -45,17 +45,26 @@ def test_complex_downward_closure_from_facets():
     assert frozenset([1, 2, 3, 4]) not in K.faces
 
 
+def minimal_nonfaces(K):
+    """Inclusion-minimal subsets of {1..n} that are not faces of K, by a
+    scan of all 2^n subsets: the collision patterns of Conf_K(R, n)."""
+    out = []
+    for size in range(1, K.n + 1):
+        for c in combinations(range(1, K.n + 1), size):
+            s = frozenset(c)
+            if s not in K.faces and all(s - {v} in K.faces for v in s):
+                out.append(s)
+    return out
+
+
 def test_minimal_nonfaces_examples():
     edges = SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
-    assert edges.minimal_nonfaces() == [frozenset([1, 2, 3])]
-    # computed once, but every call hands out its own list
-    edges.minimal_nonfaces().clear()
-    assert edges.minimal_nonfaces() == [frozenset([1, 2, 3])]
+    assert minimal_nonfaces(edges) == [frozenset([1, 2, 3])]
     full = SimplicialComplex.skeleton(4, 3)
-    assert full.minimal_nonfaces() == []
+    assert minimal_nonfaces(full) == []
     skel = SimplicialComplex.skeleton(5, 1)
-    assert sorted(sorted(s) for s in skel.minimal_nonfaces()) == \
-        [list(c) for c in __import__("itertools").combinations(range(1, 6), 3)]
+    assert sorted(sorted(s) for s in minimal_nonfaces(skel)) == \
+        [list(c) for c in combinations(range(1, 6), 3)]
 
 
 def test_in_conf_complex():
@@ -330,22 +339,20 @@ def test_validate_rejects_k_below_2_on_a_clear_path():
 
 
 def sampled_validate_path(path, constraint, samples=256, strict=False):
-    """validate_path as it was before sample screening: a tuple and a Counter
-    for every sample point, the first and last of which are the segment's
+    """validate_path as it was before sample screening: a tuple and a
+    membership test for every sample point, the first and last of which are the segment's
     ends as floats, and a column whose difference overflows sampled as
     (1 - t) a + t b. Kept as the oracle of the screened check; its strict
-    part calls the current exact solver."""
+    part is the per-pattern Fraction solve."""
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
     dim = len(path.start)
     if isinstance(constraint, SimplicialComplex):
         if dim != constraint.n:
             raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
-        patterns = constraint.minimal_nonfaces()
         member = lambda pt: in_conf_complex(pt, constraint)
     else:
         k = constraint
-        patterns = [frozenset(c) for c in combinations(range(1, dim + 1), k)]
         member = lambda pt: in_conf_k(pt, k)
     for a, b in path.pieces:
         for i in range(samples):
@@ -357,10 +364,8 @@ def sampled_validate_path(path, constraint, samples=256, strict=False):
                 pt = tuple(map(float, b if i else a))
             if not member(pt):
                 return False
-        if strict:
-            for sigma in patterns:
-                if _collision_time(a, b, sorted(sigma)) is not None:
-                    return False
+        if strict and pattern_exit_time(a, b, constraint) is not None:
+            return False
     return True
 
 
@@ -561,23 +566,124 @@ def fraction_collision_time(x, y, idxs):
     return t if 0 <= t <= 1 else None
 
 
-def test_collision_time_matches_the_fraction_solve():
-    met = 0
-    for path, _, _ in oracle_cases(7, 400):
+def pattern_exit_time(x, y, constraint):
+    """The first time some collision pattern, a k-subset of the indices or a
+    minimal non-face of K, is all equal on the segment [x, y]: the minimum
+    over patterns of the Fraction solve, or None."""
+    if isinstance(constraint, SimplicialComplex):
+        patterns = minimal_nonfaces(constraint)
+    else:
+        patterns = combinations(range(1, len(x) + 1), constraint)
+    times = [fraction_collision_time(x, y, sigma) for sigma in patterns]
+    return min((t for t in times if t is not None), default=None)
+
+
+def allowed_class(constraint):
+    if isinstance(constraint, SimplicialComplex):
+        return lambda c: frozenset(c) in constraint.faces
+    return lambda c: len(c) < constraint
+
+
+def _random_complex(rng, n):
+    facets = [rng.sample(range(1, n + 1), rng.randint(1, n))
+              for _ in range(rng.randint(0, 4))]
+    return SimplicialComplex.from_facets(n, facets)
+
+
+def _exit_coordinate(rng, kind):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "fraction":
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+    return rng.choice((1.0, 2.0 ** -30, 1e6)) * rng.randint(-4, 4) / 4
+
+
+def exit_time_cases(seed, count):
+    """A seeded stream of (x, y, constraint): Conf_k for n = 2..8 and
+    k = 2..n and random complexes from facets, on int, Fraction, float and
+    mixed coordinates drawn from a few values each, so that pairs, triples
+    and larger classes meet at one time; some blocks are made equal along
+    the whole segment, and some meet at one time by construction."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        constraint = (_random_complex(rng, n) if rng.random() < 0.4
+                      else rng.randint(2, n))
+        kinds = rng.choice((["int"], ["fraction"], ["float"],
+                            ["int", "fraction", "float"]))
+        x = [_exit_coordinate(rng, rng.choice(kinds)) for _ in range(n)]
+        y = [_exit_coordinate(rng, rng.choice(kinds)) for _ in range(n)]
+        block = rng.sample(range(n), rng.randint(2, n))
+        force = rng.randrange(3)
+        if force == 1:  # equal along the whole segment
+            for i in block:
+                x[i], y[i] = x[block[0]], y[block[0]]
+        elif force == 2:  # the block meets at t = 1/(1 + s)
+            q, s = x[block[0]], rng.choice((1, 2, 3))
+            for i in block:
+                y[i] = q - s * (x[i] - q)
+        yield tuple(x), tuple(y), constraint
+
+
+def oracle_segments(seed, count):
+    """The segments of oracle_cases, each with its complex, or with Conf_k
+    for every k = 2..dim."""
+    for path, constraint, _ in oracle_cases(seed, count):
         dim = len(path.start)
+        constraints = ([constraint] if isinstance(constraint, SimplicialComplex)
+                       else range(2, dim + 1))
         for a, b in path.pieces:
-            for size in range(2, dim + 1):
-                for idxs in combinations(range(1, dim + 1), size):
-                    want = fraction_collision_time(a, b, idxs)
-                    assert _collision_time(a, b, idxs) == want, (a, b, idxs)
-                    met += want is not None
-    assert met > 1000
+            for c in constraints:
+                yield a, b, c
+
+
+def test_collision_time_matches_the_fraction_solve():
+    cases = [*exit_time_cases(11, 3000), *oracle_segments(7, 400)]
+    bad = interior = 0
+    for x, y, constraint in cases:
+        want = pattern_exit_time(x, y, constraint)
+        assert _exit_time(x, y, allowed_class(constraint)) == want, \
+            (x, y, constraint)
+        bad += want is not None
+        interior += want is not None and 0 < want < 1
+    # the streams must exercise both verdicts and exit times between the ends
+    assert 0.2 < bad / len(cases) < 0.8 and interior > 600
+
+
+@pytest.mark.parametrize("x,y,k,want", [
+    # 1 and 2 are equal all along and meet 3 at t = 1/3
+    ((1, 1, 0), (-2, -2, 0), 3, Fraction(1, 3)),
+    ((1.0, 1.0, 0.0), (-2.0, -2.0, 0.0), 3, Fraction(1, 3)),
+    ((1, 1, 0), (-2, -2, 0), 2, Fraction(0)),
+    # pairs meet at 3/7, 2/5 and 1/2, never all three
+    ((0, 1, 3), (4, 3, 0), 3, None),
+    ((0, 1, 3), (4, 3, 0), 2, Fraction(2, 5)),
+    ((Fraction(1, 3), 0, 1), (Fraction(1, 3), 1, 0), 2, Fraction(1, 3)),
+    # the triple meets at the far end; a constant collided segment
+    ((0, 1, 2), (1, 1, 1), 3, Fraction(1)),
+    ((2, 2, 2), (2, 2, 2), 3, Fraction(0)),
+])
+def test_exit_time_examples(x, y, k, want):
+    assert _exit_time(x, y, lambda c: len(c) < k) == want
+    assert pattern_exit_time(x, y, k) == want
 
 
 def test_validate_with_complex_constraint():
     K = SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
     _, path = plan_conf3_3((0, 1, 2), (2, 1, 0))
     assert validate_path(path, K, strict=True)
+
+
+def test_validate_with_a_complex_on_24_points():
+    K = SimplicialComplex.skeleton(24, 1)  # Conf_3(R, 24)
+    x = tuple(range(24))
+    # adjacent coordinates swap places: double collisions only
+    clear = Path.through(x, tuple(v + 1 if v % 2 == 0 else v - 1 for v in x))
+    assert validate_path(clear, K, strict=True)
+    # the first three meet at t = 1/2, which is not a sample time
+    crossing = Path.through(x, (2, 1, 0) + x[3:])
+    assert validate_path(crossing, K)
+    assert not validate_path(crossing, K, strict=True)
 
 
 def test_pullback_identity_instantiation():
