@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .cohomology import CohClass, betti, cup, normalize, oracle_normal_form
-from .errors import InputError, MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
+from .errors import MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
 from .invariants import reports_to_csv, reports_to_json, verify_range
 from .planner import (
     SimplicialComplex,
@@ -247,9 +247,6 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoKEqualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from .preorder import (
     StringPreorder,
     _assemble,
     _block_parts,
+    _factor_masks,
     admissible_blocks,
     check_degree_params,
     classify,
@@ -32,8 +33,8 @@ from .preorder import (
     discrete,
     elems_of,
     enumerate_admissible,
-    factor_admissible,
     is_basic_block,
+    make_x,
     single_block,
 )
 
@@ -82,8 +83,23 @@ def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
     """Closure of a product of elementary generators.
 
     Returns the admissible closure (one Full block per factor), or None when
-    the product is zero. The closure is computed by level arithmetic on the
-    factors' masks (I_f)[J_f](K_f), in closed form:
+    the product is zero. Checks each factor (AmbientMismatch, NotElementary)
+    and closes their masks with _close, as the product path of cup does.
+    """
+    masks = []
+    for f in factors:
+        if f.n != n:
+            raise AmbientMismatch("factor has wrong ambient size")
+        if not classify(f, k).is_elementary:
+            raise NotElementary(f"{f} is not elementary for k={k}")
+        masks.append(single_block(f))
+    return _close(n, masks)
+
+
+def _close(n: int, masks: list[tuple[int, int, int]]) -> StringPreorder | None:
+    """Closure of the elementary factors with masks (I_f, J_f, K_f), or None
+    when the product is zero. It is computed by level arithmetic, in closed
+    form:
 
     A nonzero closure keeps every J_f as its own Full block, so the factors
     are totally ordered with f below g iff J_f lies in I_g and J_g in K_f,
@@ -100,16 +116,9 @@ def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
     The generic route (relation matrices, Warshall closure, string form) is
     kept as the test oracle for this closed form in tests/test_cohomology.py.
     """
-    if not factors:
+    if not masks:
         return discrete(n)
-    masks = []
-    for f in factors:
-        if f.n != n:
-            raise AmbientMismatch("factor has wrong ambient size")
-        if not classify(f, k).is_elementary:
-            raise NotElementary(f"{f} is not elementary for k={k}")
-        masks.append(single_block(f))
-    masks.sort(key=lambda ijk: ijk[0].bit_count())
+    masks = sorted(masks, key=lambda ijk: ijk[0].bit_count())
     parts = [(masks[0][0], False)]
     for (i_lo, j_lo, k_lo), (i_hi, _, _) in zip(masks, masks[1:]):
         if (i_lo | j_lo) & ~i_hi:
@@ -167,51 +176,57 @@ def _nf(p: StringPreorder, k: int) -> frozenset:
         result = frozenset()
     else:
         i = violating[-1]
-        factors = factor_admissible(p, k)
-        j_mask, i_mask = blocks[i]
+        factors = _factor_masks(n, blocks)
+        # prefix [J_i] suffix is the elementary factor at block i
+        prefix, j_mask, suffix = factors[i]
         m_bit = 1 << (j_mask.bit_length() - 1)
-        all_mask = (1 << n) - 1
-        # prefix/suffix of the elementary factor at block i
-        suffix = i_mask
-        for later_j, later_i in blocks[i + 1:]:
-            suffix |= later_j | later_i
-        prefix = all_mask & ~j_mask & ~suffix
         j0 = j_mask ^ m_bit
         replacements = []
         for a in elems_of(prefix):
             bit = 1 << (a - 1)
-            replacements.append(_assemble(n, [(prefix ^ bit, False),
-                                              (j0 | bit, True),
-                                              (suffix | m_bit, False)]))
+            replacements.append((prefix ^ bit, j0 | bit, suffix | m_bit))
         for c in elems_of(suffix):
             bit = 1 << (c - 1)
-            replacements.append(_assemble(n, [(prefix, False),
-                                              (j0 | bit, True),
-                                              ((suffix | m_bit) ^ bit, False)]))
+            replacements.append((prefix, j0 | bit, (suffix | m_bit) ^ bit))
         acc: set[StringPreorder] = set()
         for repl in replacements:
-            mono = monomial_closure(factors[:i] + [repl] + factors[i + 1:], k, n)
-            if mono is not None:
-                acc ^= _nf(mono, k)
+            acc ^= _product(k, n, factors[:i] + [repl] + factors[i + 1:])
         result = frozenset(acc)
     _nf_memo[key] = result
     return result
 
 
 def cup(a: CohClass, b: CohClass) -> CohClass:
-    """Cup product, bilinear over the basic basis."""
+    """Cup product, bilinear over the basic basis. Raises AmbientMismatch,
+    NotAdmissible or ParameterOutOfRange for a class or term outside the ring."""
     if (a.k, a.n) != (b.k, b.n):
         raise AmbientMismatch("classes live in different rings")
     k, n = a.k, a.n
     acc: set[StringPreorder] = set()
-    b_factors = [factor_admissible(pb, k) for pb in b.terms]
+    b_factors = [_term_masks(pb, k, n) for pb in b.terms]
     for pa in a.terms:
-        fa = factor_admissible(pa, k)
+        fa = _term_masks(pa, k, n)
         for fb in b_factors:
-            mono = monomial_closure(fa + fb, k, n)
-            if mono is not None:
-                acc ^= normalize(mono, k).terms
+            acc ^= _product(k, n, fa + fb)
     return CohClass(k, n, frozenset(acc))
+
+
+def _term_masks(p: StringPreorder, k: int, n: int) -> list[tuple[int, int, int]]:
+    """Masks of the elementary factors of a term of a class in ring (k, n)."""
+    if p.n != n:
+        raise AmbientMismatch("term has wrong ambient size")
+    blocks = admissible_blocks(p, k)
+    if blocks is None:
+        raise NotAdmissible(f"{p} is not admissible for k={k}")
+    if blocks and k > n:
+        raise ParameterOutOfRange(f"need 3 <= k <= n, got k={k}, n={n}")
+    return _factor_masks(n, blocks)
+
+
+def _product(k: int, n: int, masks: list[tuple[int, int, int]]) -> frozenset:
+    """Basic terms of the product of the elementary factors with these masks."""
+    mono = _close(n, masks)
+    return frozenset() if mono is None else _nf(mono, k)
 
 
 def betti(k: int, n: int, d: int) -> int:
@@ -263,22 +278,12 @@ def cup_length(k: int, n: int) -> int:
 
 
 def cat_witness(k: int, n: int) -> StringPreorder:
-    """The basic witness product of q = floor(n/k) elementary factors."""
+    """The basic witness product x_1 x_{k+1} ... x_{(q-1)k+1} of
+    q = floor(n/k) elementary factors."""
     q = n // k
     if q == 0:
         raise ParameterOutOfRange(f"n={n} < k={k}: no positive-degree witness")
-    parts: list[tuple[int, bool]] = []
-    for j in range(1, q + 1):
-        bracket = 0
-        for e in range((j - 1) * k + 1, j * k):
-            bracket |= 1 << (e - 1)
-        parts.append((bracket, True))
-        hole = 0
-        top = n + 1 if j == q else j * k + 1
-        for e in range(j * k, top):
-            hole |= 1 << (e - 1)
-        parts.append((hole, False))
-    return _assemble(n, parts)
+    return monomial_closure([make_x(j * k + 1, k, n) for j in range(q)], k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -329,29 +329,28 @@ def classify(p: StringPreorder, k: int) -> PreorderClass:
     return PreorderClass("basic" if basic else "admissible", len(blocks), k)
 
 
-def factor_admissible(p: StringPreorder, k: int) -> list[StringPreorder]:
-    """Factor an admissible preorder into its elementary closure factors.
+def _factor_masks(n: int, blocks: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Masks (I, J, K) of the elementary factors of an admissible preorder
+    on 1..n, given its blocks (J_i, I_i) from admissible_blocks: I is
+    everything before J_i, K everything after it."""
+    all_mask = (1 << n) - 1
+    masks, after = [], 0
+    for j_mask, i_mask in reversed(blocks):
+        after |= i_mask
+        masks.append((all_mask & ~j_mask & ~after, j_mask, after))
+        after |= j_mask
+    return masks[::-1]
 
-    The i-th factor is (everything before J_i) [J_i] (everything after).
-    """
+
+def factor_admissible(p: StringPreorder, k: int) -> list[StringPreorder]:
+    """Factor an admissible preorder into its elementary closure factors,
+    built as preorders from the masks of _factor_masks (which the product
+    path of cohomology uses as they are)."""
     blocks = admissible_blocks(p, k)
     if blocks is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
-    all_mask = (1 << p.n) - 1
-    factors = []
-    before = 0
-    for idx, (mask, full) in enumerate(p.levels):
-        if full:
-            after = all_mask & ~before & ~mask
-            levels = []
-            if before:
-                levels.append((before, False))
-            levels.append((mask, True))
-            if after:
-                levels.append((after, False))
-            factors.append(make_preorder(p.n, levels))
-        before |= mask
-    return factors
+    return [_assemble(p.n, [(i_mask, False), (j_mask, True), (k_mask, False)])
+            for i_mask, j_mask, k_mask in _factor_masks(p.n, blocks)]
 
 
 def _submasks(pool: int) -> Iterator[int]:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain, product as iproduct
 from typing import Iterable, Optional
 
-from .cohomology import CohClass, cup, monomial_closure, normalize
+from .cohomology import CohClass, _product, _term_masks, cup, monomial_closure, normalize
 from .errors import (
     AmbientMismatch,
     CertificateFailure,
@@ -124,11 +124,8 @@ class ZeroDivisorSpec:
 
 @lru_cache(maxsize=None)
 def _generator_class(k: int, n: int, m: int, primed: bool) -> CohClass:
-    # x_{n-k+2} is elementary but not basic; express it in the basis
-    p = make_x(m, k, n, primed)
-    if classify(p, k).is_basic:
-        return CohClass.of(k, n, [p])
-    return normalize(p, k)
+    # x_{n-k+2} is elementary but not basic; normalize expresses it in the basis
+    return normalize(make_x(m, k, n, primed), k)
 
 
 def zero_divisor(spec: ZeroDivisorSpec) -> TensorClass:
@@ -150,7 +147,7 @@ def y(k: int, n: int, m: int, primed: bool = False) -> TensorClass:
 
 @lru_cache(maxsize=None)
 def _cup_basics(k: int, n: int, a: StringPreorder, b: StringPreorder) -> frozenset:
-    return cup(CohClass.of(k, n, [a]), CohClass.of(k, n, [b])).terms
+    return _product(k, n, _term_masks(a, k, n) + _term_masks(b, k, n))
 
 
 def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:

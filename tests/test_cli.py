@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -60,6 +61,17 @@ def test_table_csv_header(capsys):
                        "--csv")
     assert code == 0
     assert out.splitlines()[0] == "k,n,s,cat,hdim,tc,tcs,betti,certificate,value,status,note"
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("--json", "a57d8d8c72249f904e17fad7dfa6a387"),
+    ("--csv", "f9653fe409c342251e21649851aba276"),
+])
+def test_table_grid_output_is_pinned(capsys, fmt, digest):
+    code, out, _ = run(capsys, "table", "--k-range", "3..4", "--n-range", "3..10",
+                       "--s-range", "2..3", fmt)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
 def test_table_deterministic(capsys):

@@ -82,6 +82,16 @@ def test_monomial_closure_empty_product_is_unit():
     assert monomial_closure([], 3, 5) == discrete(5)
 
 
+def test_monomial_closure_rejects_a_two_block_factor():
+    with pytest.raises(NotElementary):
+        monomial_closure([parse_preorder("[1,2](3)[4,5](6)")], 3, 6)
+
+
+def test_monomial_closure_rejects_a_factor_on_another_n():
+    with pytest.raises(AmbientMismatch):
+        monomial_closure([make_x(1, 3, 5)], 3, 6)
+
+
 def warshall_closure(factors, k, n):
     """The closure through relation matrices: union of the factors'
     relations, Warshall, then the string form. Oracle for the closed form."""
@@ -408,6 +418,75 @@ def test_cup_unit():
     one = CohClass.unit(3, 5)
     a = nf_x(2, 3, 5)
     assert cup(one, a).terms == a.terms
+
+
+def test_cup_rejects_a_non_admissible_term():
+    bad = CohClass.of(3, 4, [parse_preorder("[1,2,3](4)")])
+    with pytest.raises(NotAdmissible):
+        cup(CohClass.unit(3, 4), bad)
+
+
+def test_cup_rejects_a_ring_with_k_above_n():
+    with pytest.raises(ParameterOutOfRange):
+        cup(CohClass.of(4, 3, [parse_preorder("[1,2,3]")]), CohClass.unit(4, 3))
+
+
+@pytest.mark.parametrize("a, b", [
+    (CohClass.unit(3, 5), CohClass.unit(3, 6)),
+    (CohClass.unit(3, 6), CohClass.of(3, 6, [make_x(1, 3, 5)])),
+])
+def test_cup_rejects_classes_of_another_ring(a, b):
+    with pytest.raises(AmbientMismatch):
+        cup(a, b)
+
+
+def level_factors(p, k):
+    """The elementary factors of an admissible p, read off its levels: the
+    i-th is (everything before J_i)[J_i](everything after). They must equal
+    factor_admissible's, which derives them from the blocks' masks."""
+    all_mask = (1 << p.n) - 1
+    factors, before = [], 0
+    for mask, full in p.levels:
+        if full:
+            factors.append(_assemble(p.n, [(before, False), (mask, True),
+                                           (all_mask & ~before & ~mask, False)]))
+        before |= mask
+    assert factors == factor_admissible(p, k)
+    return factors
+
+
+def preorder_route_cup(a, b):
+    """The cup product through preorders, term pair by term pair: factor
+    into elementary preorders, close them with monomial_closure, normalize.
+    Oracle for cup, which runs the same product on (I, J, K) masks."""
+    k, n = a.k, a.n
+    acc = set()
+    for pa in a.terms:
+        for pb in b.terms:
+            mono = monomial_closure(level_factors(pa, k) + level_factors(pb, k), k, n)
+            if mono is not None:
+                acc ^= normalize(mono, k).terms
+    return CohClass(k, n, frozenset(acc))
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (4, 8), (4, 9)])
+def test_cup_matches_the_preorder_route_on_seeded_pairs(k, n):
+    rng = random.Random(k * 100 + n)
+    top = n // (k - 1)
+
+    def random_class():
+        terms = [random_admissible(rng, k, n, rng.randint(0, top))
+                 for _ in range(rng.randint(1, 3))]
+        return CohClass.of(k, n, terms)
+
+    non_basic = nonzero = 0
+    for _ in range(150):
+        a, b = random_class(), random_class()
+        product = cup(a, b)
+        assert product == preorder_route_cup(a, b), (a, b)
+        non_basic += any(not classify(p, k).is_basic for p in a.terms | b.terms)
+        nonzero += not product.is_zero
+    assert non_basic > 50 and nonzero > 30
 
 
 def test_cup_commutative_small():
