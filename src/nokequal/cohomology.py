@@ -23,17 +23,18 @@ from .errors import (
 )
 from .preorder import (
     StringPreorder,
-    _assemble,
     _block_parts,
     _factor_masks,
     admissible_blocks,
     check_degree_params,
+    check_ring,
     classify,
     count_admissible,
     discrete,
     elems_of,
     enumerate_admissible,
     is_basic_block,
+    make_preorder,
     make_x,
     single_block,
 )
@@ -43,11 +44,14 @@ DEFAULT_ORACLE_CAP = 100_000
 
 @dataclass(frozen=True)
 class CohClass:
-    """GF(2) linear combination of basic preorders."""
+    """GF(2) linear combination of basic preorders; 3 <= k <= n <= 64."""
 
     k: int
     n: int
     terms: frozenset[StringPreorder]
+
+    def __post_init__(self):
+        check_ring(self.k, self.n)
 
     @classmethod
     def zero(cls, k: int, n: int) -> "CohClass":
@@ -93,13 +97,15 @@ def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
         if not classify(f, k).is_elementary:
             raise NotElementary(f"{f} is not elementary for k={k}")
         masks.append(single_block(f))
-    return _close(n, masks)
+    levels = _close(n, masks)
+    return None if levels is None else make_preorder(n, levels)
 
 
-def _close(n: int, masks: list[tuple[int, int, int]]) -> StringPreorder | None:
-    """Closure of the elementary factors with masks (I_f, J_f, K_f), or None
-    when the product is zero. It is computed by level arithmetic, in closed
-    form:
+def _close(n: int, masks: list[tuple[int, int, int]]) -> tuple | None:
+    """Level tuple ((mask, full), ...) of the closure of the elementary
+    factors with masks (I_f, J_f, K_f), empty holes dropped, or None when
+    the product is zero; no preorder is built, as the tuple keys _nf's memo.
+    It is computed by level arithmetic, in closed form:
 
     A nonzero closure keeps every J_f as its own Full block, so the factors
     are totally ordered with f below g iff J_f lies in I_g and J_g in K_f,
@@ -117,7 +123,7 @@ def _close(n: int, masks: list[tuple[int, int, int]]) -> StringPreorder | None:
     kept as the test oracle for this closed form in tests/test_cohomology.py.
     """
     if not masks:
-        return discrete(n)
+        return (((1 << n) - 1, False),)
     masks = sorted(masks, key=lambda ijk: ijk[0].bit_count())
     parts = [(masks[0][0], False)]
     for (i_lo, j_lo, k_lo), (i_hi, _, _) in zip(masks, masks[1:]):
@@ -126,10 +132,12 @@ def _close(n: int, masks: list[tuple[int, int, int]]) -> StringPreorder | None:
         parts += [(j_lo, True), (k_lo & i_hi, False)]
     _, j_top, k_top = masks[-1]
     parts += [(j_top, True), (k_top, False)]
-    return _assemble(n, parts)
+    return tuple(lv for lv in parts if lv[0])
 
 
-_nf_memo: dict[tuple[int, StringPreorder], frozenset] = {}
+# The ring's one cache, keyed by (k, level tuple): a preorder's levels
+# (LevelSet is a NamedTuple) and a closure's plain tuple share an entry.
+_nf_memo: dict[tuple[int, tuple], frozenset] = {}
 
 
 def normalize(p: StringPreorder, k: int) -> CohClass:
@@ -155,24 +163,25 @@ def normalize(p: StringPreorder, k: int) -> CohClass:
     a if a > m (the index stays and -max(J_i) drops). The measure takes
     finitely many values, so every chain of rewrites ends.
     """
-    if admissible_blocks(p, k) is None:
+    if admissible_blocks(p.levels, k) is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
-    return CohClass(k, p.n, _nf(p, k))
+    return CohClass(k, p.n, _nf(k, p.n, p.levels))
 
 
-def _nf(p: StringPreorder, k: int) -> frozenset:
-    key = (k, p)
+def _nf(k: int, n: int, levels: tuple) -> frozenset:
+    """Basic terms of the normal form of an admissible level tuple on 1..n,
+    memoized under (k, levels). The blocks are parsed off the tuple; a
+    StringPreorder is built only for a basic result, once per new entry."""
+    key = (k, levels)
     cached = _nf_memo.get(key)
     if cached is not None:
         return cached
-    n = p.n
-    blocks = admissible_blocks(p, k)
-    d = len(blocks)
+    blocks = admissible_blocks(levels, k)
     violating = [i for i, (j_mask, i_mask) in enumerate(blocks)
                  if not is_basic_block(j_mask, i_mask)]
     if not violating:
-        result = frozenset([p])
-    elif d > n // k:
+        result = frozenset([make_preorder(n, levels)])
+    elif len(blocks) > n // k:
         result = frozenset()
     else:
         i = violating[-1]
@@ -197,8 +206,8 @@ def _nf(p: StringPreorder, k: int) -> frozenset:
 
 
 def cup(a: CohClass, b: CohClass) -> CohClass:
-    """Cup product, bilinear over the basic basis. Raises AmbientMismatch,
-    NotAdmissible or ParameterOutOfRange for a class or term outside the ring."""
+    """Cup product, bilinear over the basic basis. Raises AmbientMismatch or
+    NotAdmissible for a class or term outside the ring."""
     if (a.k, a.n) != (b.k, b.n):
         raise AmbientMismatch("classes live in different rings")
     k, n = a.k, a.n
@@ -212,21 +221,20 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
 
 
 def _term_masks(p: StringPreorder, k: int, n: int) -> list[tuple[int, int, int]]:
-    """Masks of the elementary factors of a term of a class in ring (k, n)."""
+    """Masks of the elementary factors of a term of a class in ring (k, n),
+    one per block: the list's length is the term's degree."""
     if p.n != n:
         raise AmbientMismatch("term has wrong ambient size")
-    blocks = admissible_blocks(p, k)
+    blocks = admissible_blocks(p.levels, k)
     if blocks is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
-    if blocks and k > n:
-        raise ParameterOutOfRange(f"need 3 <= k <= n, got k={k}, n={n}")
     return _factor_masks(n, blocks)
 
 
 def _product(k: int, n: int, masks: list[tuple[int, int, int]]) -> frozenset:
     """Basic terms of the product of the elementary factors with these masks."""
-    mono = _close(n, masks)
-    return frozenset() if mono is None else _nf(mono, k)
+    levels = _close(n, masks)
+    return frozenset() if levels is None else _nf(k, n, levels)
 
 
 def betti(k: int, n: int, d: int) -> int:
@@ -335,7 +343,7 @@ def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
     # on the most violating columns.
     basics, non_basics = [], []
     for p in admissibles:
-        bad = sum(not is_basic_block(j, i) for j, i in admissible_blocks(p, k))
+        bad = sum(not is_basic_block(j, i) for j, i in admissible_blocks(p.levels, k))
         if bad:
             non_basics.append((bad, p))
         else:

@@ -266,17 +266,17 @@ def compose(p: StringPreorder, q: StringPreorder) -> StringPreorder:
     return to_string_form(RelationMatrix(p.n, rows))
 
 
-def admissible_blocks(p: StringPreorder, k: int) -> list[tuple[int, int]] | None:
-    """Blocks (J_i, I_i) of an admissible preorder, or None.
+def admissible_blocks(levels: Sequence[tuple[int, bool]], k: int) -> list[tuple[int, int]] | None:
+    """Blocks (J_i, I_i) of an admissible level sequence, or None.
 
-    Admissible means the levels read (I_0) [J_1] (I_1) ... [J_d] (I_d) with
-    every Full block of size k-1 and at most one Empty level between
-    consecutive blocks (I_i possibly absent).
+    The levels are (mask, full) pairs: a preorder's p.levels, or a closure's
+    level tuple from cohomology._close. Admissible means they read
+    (I_0) [J_1] (I_1) ... [J_d] (I_d) with every Full block of size k-1 and
+    at most one Empty level between consecutive blocks (I_i possibly absent).
     """
     blocks: list[tuple[int, int]] = []
-    levels = p.levels
     i = 0
-    if i < len(levels) and not levels[i].full:
+    if i < len(levels) and not levels[i][1]:
         i += 1  # leading Empty region I_0
     while i < len(levels):
         mask, full = levels[i]
@@ -284,8 +284,8 @@ def admissible_blocks(p: StringPreorder, k: int) -> list[tuple[int, int]] | None
             return None
         i += 1
         i_mask = 0
-        if i < len(levels) and not levels[i].full:
-            i_mask = levels[i].mask
+        if i < len(levels) and not levels[i][1]:
+            i_mask = levels[i][0]
             i += 1
         blocks.append((mask, i_mask))
     return blocks
@@ -320,9 +320,8 @@ class PreorderClass:
 
 def classify(p: StringPreorder, k: int) -> PreorderClass:
     """Classify p as basic / admissible / non-admissible for parameter k."""
-    if not 3 <= k <= p.n:
-        raise ParameterOutOfRange(f"need 3 <= k <= n, got k={k}, n={p.n}")
-    blocks = admissible_blocks(p, k)
+    check_ring(k, p.n)
+    blocks = admissible_blocks(p.levels, k)
     if blocks is None:
         return PreorderClass("non_admissible", None, k)
     basic = all(is_basic_block(j_mask, i_mask) for j_mask, i_mask in blocks)
@@ -346,7 +345,7 @@ def factor_admissible(p: StringPreorder, k: int) -> list[StringPreorder]:
     """Factor an admissible preorder into its elementary closure factors,
     built as preorders from the masks of _factor_masks (which the product
     path of cohomology uses as they are)."""
-    blocks = admissible_blocks(p, k)
+    blocks = admissible_blocks(p.levels, k)
     if blocks is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
     return [_assemble(p.n, [(i_mask, False), (j_mask, True), (k_mask, False)])
@@ -380,12 +379,15 @@ def _assemble(n: int, parts: Sequence[tuple[int, bool]]) -> StringPreorder:
     return make_preorder(n, [(m, f) for m, f in parts if m])
 
 
+def check_ring(k: int, n: int) -> None:
+    """Raise ParameterOutOfRange unless 3 <= k <= n <= MAX_N."""
+    if not 3 <= k <= n <= MAX_N:
+        raise ParameterOutOfRange(f"need 3 <= k <= n <= {MAX_N}, got k={k}, n={n}")
+
+
 def check_degree_params(k: int, n: int, d: int) -> None:
     """Raise ParameterOutOfRange unless 3 <= k <= n <= MAX_N and d >= 0."""
-    if not 3 <= k <= n:
-        raise ParameterOutOfRange(f"need 3 <= k <= n, got k={k}, n={n}")
-    if n > MAX_N:
-        raise ParameterOutOfRange(f"ambient size {n} not in 1..{MAX_N}")
+    check_ring(k, n)
     if d < 0:
         raise ParameterOutOfRange("d must be non-negative")
 

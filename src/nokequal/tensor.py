@@ -8,11 +8,10 @@ topological complexity and its higher analogues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product as iproduct
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .cohomology import CohClass, _product, _term_masks, cup, monomial_closure, normalize
+from .cohomology import CohClass, _product, _term_masks, monomial_closure, normalize
 from .errors import (
     AmbientMismatch,
     CertificateFailure,
@@ -21,7 +20,7 @@ from .errors import (
     NotAdmissible,
     ParameterOutOfRange,
 )
-from .preorder import StringPreorder, classify, discrete, make_x, parse_preorder
+from .preorder import StringPreorder, check_ring, classify, discrete, make_x, parse_preorder
 
 TENSOR_SIGN = "⊗"
 TENSOR_ASCII = "(x)"
@@ -29,7 +28,7 @@ TENSOR_ASCII = "(x)"
 
 @dataclass(frozen=True)
 class TensorClass:
-    """GF(2) linear combination of s-tuples of basic preorders."""
+    """GF(2) linear combination of s-tuples of basic preorders; 3 <= k <= n <= 64."""
 
     k: int
     n: int
@@ -37,6 +36,7 @@ class TensorClass:
     terms: frozenset[tuple[StringPreorder, ...]]
 
     def __post_init__(self):
+        check_ring(self.k, self.n)
         for t in self.terms:
             if len(t) != self.s:
                 raise AmbientMismatch(f"term of length {len(t)} in power {self.s}")
@@ -53,9 +53,7 @@ class TensorClass:
     def pure(cls, slots: Iterable[CohClass], k: int, n: int) -> "TensorClass":
         """Tensor product of s cohomology classes, one per slot."""
         factors = list(slots)
-        terms = frozenset(iproduct(*(sorted(c.terms, key=lambda p: p.sort_key())
-                                     for c in factors)))
-        return cls(k, n, len(factors), terms)
+        return cls(k, n, len(factors), frozenset(iproduct(*(c.terms for c in factors))))
 
     def __add__(self, other: "TensorClass") -> "TensorClass":
         if (self.k, self.n, self.s) != (other.k, other.n, other.s):
@@ -122,15 +120,10 @@ class ZeroDivisorSpec:
             raise IndexOutOfRange(f"m={self.m} needs m+k <= n+2")
 
 
-@lru_cache(maxsize=None)
-def _generator_class(k: int, n: int, m: int, primed: bool) -> CohClass:
-    # x_{n-k+2} is elementary but not basic; normalize expresses it in the basis
-    return normalize(make_x(m, k, n, primed), k)
-
-
 def zero_divisor(spec: ZeroDivisorSpec) -> TensorClass:
     k, n, s = spec.k, spec.n, spec.s
-    x = _generator_class(k, n, spec.m, spec.primed)
+    # x_{n-k+2} is elementary but not basic; normalize expresses it in the basis
+    x = normalize(make_x(spec.m, k, n, spec.primed), k)
     one = CohClass.unit(k, n)
     first = TensorClass.pure([x if j == spec.q else one for j in range(1, s + 1)], k, n)
     last = TensorClass.pure([x if j == s else one for j in range(1, s + 1)], k, n)
@@ -145,37 +138,37 @@ def y(k: int, n: int, m: int, primed: bool = False) -> TensorClass:
     return zero_divisor(ZeroDivisorSpec(k, n, m, q=1, s=2, primed=primed))
 
 
-@lru_cache(maxsize=None)
-def _cup_basics(k: int, n: int, a: StringPreorder, b: StringPreorder) -> frozenset:
-    return _product(k, n, _term_masks(a, k, n) + _term_masks(b, k, n))
-
-
 def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
     """Slotwise cup product (no signs over GF(2)), bilinear over terms.
 
-    Raises NotAdmissible when a term holds a non-admissible preorder.
+    Each distinct preorder is factored once per call by _term_masks, which
+    does the checks; its factor count is its slot degree, and a slot product
+    is one _product over two factor lists. Raises NotAdmissible, naming the
+    whole term, when a term holds a non-admissible preorder.
     """
     if (a.k, a.n, a.s) != (b.k, b.n, b.s):
         raise AmbientMismatch("tensor classes live in different rings")
     k, n, s = a.k, a.n, a.s
     cap = n // k
-    # Degree of each distinct preorder in either operand, classified once
-    # per call rather than once per slot or term pair.
-    degree = {p: classify(p, k).d for t in chain(a.terms, b.terms) for p in t}
-    a_degrees = [(ta, tuple(degree[p] for p in ta)) for ta in a.terms]
-    b_degrees = [(tb, tuple(degree[p] for p in tb)) for tb in b.terms]
-    for t, degrees in a_degrees + b_degrees:
-        if None in degrees:
-            raise NotAdmissible(
-                f"term {TENSOR_SIGN.join(map(str, t))} is not admissible for k={k}")
+    masks: dict[StringPreorder, list[tuple[int, int, int]]] = {}
+    for t in chain(a.terms, b.terms):
+        for p in t:
+            if p not in masks:
+                try:
+                    masks[p] = _term_masks(p, k, n)
+                except NotAdmissible:
+                    raise NotAdmissible(f"term {TENSOR_SIGN.join(map(str, t))} "
+                                        f"is not admissible for k={k}") from None
+    a_masks = [[masks[p] for p in t] for t in a.terms]
+    b_masks = [[masks[p] for p in t] for t in b.terms]
     acc: set[tuple[StringPreorder, ...]] = set()
-    for ta, da in a_degrees:
-        for tb, db in b_degrees:
+    for fa in a_masks:
+        for fb in b_masks:
             # degree bound per slot: more than floor(n/k) blocks is zero
-            if any(i + j > cap for i, j in zip(da, db)):
+            if any(len(x) + len(y) > cap for x, y in zip(fa, fb)):
                 continue
-            slot_terms = [_cup_basics(k, n, pa, pb) for pa, pb in zip(ta, tb)]
-            if any(not st for st in slot_terms):
+            slot_terms = [_product(k, n, x + y) for x, y in zip(fa, fb)]
+            if not all(slot_terms):
                 continue
             for combo in iproduct(*slot_terms):
                 acc ^= {combo}
@@ -183,17 +176,13 @@ def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
 
 
 def multiplication_image(t: TensorClass) -> CohClass:
-    """Image under the s-fold cup multiplication map H^{⊗s} -> H."""
+    """Image under the s-fold cup multiplication map H^{⊗s} -> H: one
+    _product per term, over the concatenated factor masks of its slots."""
     k, n = t.k, t.n
-    out = CohClass.zero(k, n)
+    acc: set[StringPreorder] = set()
     for tup in t.terms:
-        prod = CohClass.of(k, n, [tup[0]])
-        for p in tup[1:]:
-            prod = cup(prod, CohClass.of(k, n, [p]))
-            if prod.is_zero:
-                break
-        out = out + prod
-    return out
+        acc ^= _product(k, n, [f for p in tup for f in _term_masks(p, k, n)])
+    return CohClass(k, n, frozenset(acc))
 
 
 def witness_product(k: int, n: int, i: int, s: int = 2) -> TensorClass:

@@ -166,6 +166,12 @@ def test_bad_preorder_is_exit_2(capsys):
     assert "error" in err
 
 
+def test_normalize_in_a_ring_with_k_above_n_is_exit_2(capsys):
+    code, out, err = run(capsys, "normalize", "--k", "4", "--n", "3", "[1,2,3]")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 def test_betti_out_of_range_is_exit_2(capsys):
     for argv in (["--k", "2", "--n", "5"], ["--k", "4", "--n", "3"],
                  ["--k", "3", "--n", "5", "--d", "-1"]):

@@ -32,6 +32,7 @@ from nokequal.errors import (
 from nokequal.invariants import invariant_report
 from nokequal.preorder import (
     RelationMatrix,
+    StringPreorder,
     _assemble,
     _ksubsets,
     _submasks,
@@ -114,7 +115,7 @@ def warshall_closure(factors, k, n):
     except NotString:
         # Not expected in practice; a non-string closure cannot be admissible.
         return None
-    blocks = admissible_blocks(p, k)
+    blocks = admissible_blocks(p.levels, k)
     if blocks is None:
         return None
     assert len(blocks) == len(factors)
@@ -217,7 +218,7 @@ def rewrite_measure(p, k):
     """The termination measure of normalize's docstring, from the definition:
     (i, -max(J_i)) for the rightmost block [J_i](I_i) whose maximum lies in
     J_i, or None when p is basic."""
-    blocks = admissible_blocks(p, k)
+    blocks = admissible_blocks(p.levels, k)
     for i in reversed(range(len(blocks))):
         j_mask, i_mask = blocks[i]
         if max(elems_of(j_mask | i_mask)) in elems_of(j_mask):
@@ -228,15 +229,17 @@ def rewrite_measure(p, k):
 def test_rewrite_measure_decreases_on_every_edge(monkeypatch):
     # Each _nf call made while rewriting a preorder is an edge from that
     # preorder to one term of its rewrite; the measure drops along every one.
+    # _nf takes a level tuple; the preorder is built here to measure it.
     edges, stack = [], []
     real_nf = cohomology._nf
 
-    def recording_nf(p, k):
+    def recording_nf(k, n, levels):
+        p = make_preorder(n, levels)
         if stack:
             edges.append((stack[-1], p, k))
         stack.append(p)
         try:
-            return real_nf(p, k)
+            return real_nf(k, n, levels)
         finally:
             stack.pop()
 
@@ -429,6 +432,33 @@ def test_cup_rejects_a_non_admissible_term():
 def test_cup_rejects_a_ring_with_k_above_n():
     with pytest.raises(ParameterOutOfRange):
         cup(CohClass.of(4, 3, [parse_preorder("[1,2,3]")]), CohClass.unit(4, 3))
+
+
+def test_a_ring_with_k_above_n_is_refused_at_construction():
+    # [1,2,3] is admissible for k = 4, so only the ring check can refuse it
+    with pytest.raises(ParameterOutOfRange):
+        normalize(parse_preorder("[1,2,3]"), 4)
+    with pytest.raises(ParameterOutOfRange):
+        CohClass.of(4, 3, [parse_preorder("[1,2,3]")])
+    with pytest.raises(ParameterOutOfRange):
+        CohClass.zero(2, 5)
+
+
+def test_a_repeated_cup_builds_no_preorder(monkeypatch):
+    # The memo is keyed by level tuples, so a product already in it is
+    # answered without building a StringPreorder.
+    a, b = nf_x(1, 3, 7), nf_x(4, 3, 7) + nf_x(5, 3, 7)
+    first = cup(a, b)
+    built = []
+    real = StringPreorder.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(StringPreorder, "__post_init__", counting)
+    assert cup(a, b) == first
+    assert built == []
 
 
 @pytest.mark.parametrize("a, b", [

@@ -117,7 +117,7 @@ def test_classify_basic_matches_the_definition():
                 for p in enumerate_admissible(k, n, d):
                     literal = all(
                         i_mask and max(elems_of(j_mask | i_mask)) in elems_of(i_mask)
-                        for j_mask, i_mask in admissible_blocks(p, k))
+                        for j_mask, i_mask in admissible_blocks(p.levels, k))
                     assert classify(p, k).is_basic == bool(literal), str(p)
 
 
@@ -330,7 +330,7 @@ def nests(f, g):
 
 def closes_to_admissible(f, g, k):
     try:
-        return admissible_blocks(compose(f, g), k) is not None
+        return admissible_blocks(compose(f, g).levels, k) is not None
     except NotString:
         return False
 

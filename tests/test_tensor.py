@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -12,7 +13,7 @@ from nokequal.errors import (
     NotAdmissible,
     ParameterOutOfRange,
 )
-from nokequal.preorder import classify, discrete, parse_preorder
+from nokequal.preorder import classify, discrete, enumerate_basic, parse_preorder
 from nokequal.tensor import (
     TensorClass,
     ZeroDivisorSpec,
@@ -209,6 +210,51 @@ def test_tensor_cup_matches_slotwise_reference(k, n, s):
     for a in divisors:
         for b in divisors:
             assert tensor_cup(a, b).terms == _reference_tensor_cup(a, b).terms, (a, b)
+
+
+def _reference_multiplication_image(t):
+    # The slot-by-slot cup chain of each term, summed over the terms.
+    k, n = t.k, t.n
+    out = CohClass.zero(k, n)
+    for tup in t.terms:
+        prod = CohClass.of(k, n, [tup[0]])
+        for p in tup[1:]:
+            prod = cup(prod, CohClass.of(k, n, [p]))
+        out = out + prod
+    return out
+
+
+def _seeded_pure_classes(rng, k, n, s, count):
+    """Pure tensors of sums of up to three basic preorders, with slot
+    degrees adding up to at most floor(n/k) so the image can be nonzero."""
+    basics = {d: list(enumerate_basic(k, n, d)) for d in range(n // k + 1)}
+    for _ in range(count):
+        degrees = [0] * s
+        for _ in range(rng.randint(1, n // k)):
+            degrees[rng.randrange(s)] += 1
+        slots = [CohClass.of(k, n, rng.sample(basics[d], min(3, len(basics[d]))))
+                 for d in degrees]
+        yield TensorClass.pure(slots, k, n)
+
+
+@pytest.mark.parametrize("k,n,s", [(3, n, s) for n in (6, 7, 8) for s in (2, 3)]
+                         + [(4, n, s) for n in (8, 9) for s in (2, 3)])
+def test_multiplication_image_matches_the_slot_by_slot_chain(k, n, s):
+    rng = random.Random(1000 * k + 10 * n + s)
+    nonzero = 0
+    for t in _seeded_pure_classes(rng, k, n, s, 30):
+        image = multiplication_image(t)
+        assert image == _reference_multiplication_image(t), str(t)
+        nonzero += bool(image)
+    assert nonzero >= 10
+    for z in _divisors(k, n, s):
+        assert multiplication_image(z) == _reference_multiplication_image(z)
+
+
+def test_tensor_class_refuses_a_ring_outside_the_range():
+    for k, n in ((4, 3), (2, 5), (3, 65)):
+        with pytest.raises(ParameterOutOfRange):
+            TensorClass.zero(k, n, 2)
 
 
 def _unpruned_zcl(k, n):
