@@ -45,7 +45,6 @@ from .preorder import (
 )
 from .tensor import (
     TensorClass,
-    ZeroDivisorSpec,
     p_witness,
     tensor_cup,
     witness_product,
@@ -67,7 +66,7 @@ __all__ = [
     "StringPreorder", "classify", "compose", "discrete",
     "enumerate_admissible", "enumerate_basic", "make_preorder", "make_x",
     "parse_preorder",
-    "TensorClass", "ZeroDivisorSpec", "p_witness", "tensor_cup",
+    "TensorClass", "p_witness", "tensor_cup",
     "witness_product", "zcl_lower", "zero_divisor",
     "__version__",
 ]

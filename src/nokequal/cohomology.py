@@ -27,6 +27,7 @@ from .preorder import (
     _factor_masks,
     admissible_blocks,
     check_degree_params,
+    check_domain,
     check_ring,
     classify,
     count_admissible,
@@ -36,7 +37,6 @@ from .preorder import (
     is_basic_block,
     make_preorder,
     make_x,
-    single_block,
 )
 
 DEFAULT_ORACLE_CAP = 100_000
@@ -87,18 +87,32 @@ def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
     """Closure of a product of elementary generators.
 
     Returns the admissible closure (one Full block per factor), or None when
-    the product is zero. Checks each factor (AmbientMismatch, NotElementary)
-    and closes their masks with _close, as the product path of cup does.
+    the product is zero. Checks the ring (ParameterOutOfRange) and each
+    factor (AmbientMismatch, NotElementary), takes its masks as _term_masks
+    does, and closes them with _close, as the product path of cup does.
     """
+    check_ring(k, n)
     masks = []
     for f in factors:
         if f.n != n:
             raise AmbientMismatch("factor has wrong ambient size")
-        if not classify(f, k).is_elementary:
+        blocks = admissible_blocks(f.levels, k)
+        if blocks is None or len(blocks) != 1:
             raise NotElementary(f"{f} is not elementary for k={k}")
-        masks.append(single_block(f))
+        masks += _factor_masks(n, blocks)
     levels = _close(n, masks)
     return None if levels is None else make_preorder(n, levels)
+
+
+def witness_closure(factors: Sequence[StringPreorder], k: int, n: int) -> StringPreorder:
+    """Closure of a witness monomial, checked to be a basic preorder (a
+    basis element, hence a nonzero class); CertificateFailure otherwise."""
+    mono = monomial_closure(factors, k, n)
+    if mono is None or not classify(mono, k).is_basic:
+        raise CertificateFailure(
+            f"witness monomial {'*'.join(map(str, factors))} closes to {mono}, "
+            "not a basic preorder")
+    return mono
 
 
 def _close(n: int, masks: list[tuple[int, int, int]]) -> tuple | None:
@@ -163,6 +177,7 @@ def normalize(p: StringPreorder, k: int) -> CohClass:
     a if a > m (the index stays and -max(J_i) drops). The measure takes
     finitely many values, so every chain of rewrites ends.
     """
+    check_ring(k, p.n)
     if admissible_blocks(p.levels, k) is None:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
     return CohClass(k, p.n, _nf(k, p.n, p.levels))
@@ -266,20 +281,19 @@ def betti(k: int, n: int, d: int) -> int:
 def cup_length(k: int, n: int) -> int:
     """Largest number of positive-degree classes with nonzero product.
 
-    Certified below by the explicit basic witness
+    The domain is that of the closed forms, k >= 3 and n >= 1; it is 0 for
+    n < k. Certified below by the explicit basic witness
     [1..k-1](k)[k+1..2k-1](2k)...[(q-1)k+1..qk-1](qk..n) with q = floor(n/k)
-    (a basis element, hence nonzero), and above by the grading bound: any
-    product of more than floor(n/k) blocks lands in a vanishing degree.
-    Both checks always run and raise CertificateFailure when they fail.
+    (a basis element, hence nonzero; cat_witness checks it), and above by
+    the grading bound: any product of more than floor(n/k) blocks lands in a
+    vanishing degree. Both checks always run and raise CertificateFailure
+    when they fail.
     """
-    if not 3 <= k:
-        raise ParameterOutOfRange("k must be >= 3")
+    check_domain(k, n)
     q = n // k
     if q == 0:
         return 0
-    w = cat_witness(k, n)
-    if not classify(w, k).is_basic:
-        raise CertificateFailure(f"cat witness {w} is not a basic preorder")
+    cat_witness(k, n)
     if betti(k, n, q + 1):
         raise CertificateFailure(f"degree {q + 1} is nonzero: the grading bound fails")
     return q
@@ -287,11 +301,11 @@ def cup_length(k: int, n: int) -> int:
 
 def cat_witness(k: int, n: int) -> StringPreorder:
     """The basic witness product x_1 x_{k+1} ... x_{(q-1)k+1} of
-    q = floor(n/k) elementary factors."""
+    q = floor(n/k) elementary factors, checked basic by witness_closure."""
     q = n // k
     if q == 0:
         raise ParameterOutOfRange(f"n={n} < k={k}: no positive-degree witness")
-    return monomial_closure([make_x(j * k + 1, k, n) for j in range(q)], k, n)
+    return witness_closure([make_x(j * k + 1, k, n) for j in range(q)], k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 
 from .cohomology import betti, cup_length
 from .errors import CertificateFailure, ParameterOutOfRange, RangeViolation
+from .preorder import check_domain
 from .tensor import zcl_lower
 
 SPHERE_NOTE = "upper bound from sphere S^{{k-2}}; zcl certificate = {v} only"
@@ -23,8 +24,7 @@ SPHERE_NOTE = "upper bound from sphere S^{{k-2}}; zcl certificate = {v} only"
 
 def cat_formula(k: int, n: int) -> int:
     """LS-category: the integral part of n/k."""
-    if k < 3 or n < 1:
-        raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
+    check_domain(k, n)
     return n // k
 
 
@@ -37,8 +37,7 @@ def tcs_formula(k: int, n: int, s: int) -> int:
     """Higher (sequential) topological complexity TC_s."""
     if s < 2:
         raise ParameterOutOfRange("s must be >= 2")
-    if k < 3 or n < 1:
-        raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
+    check_domain(k, n)
     if n < k:
         return 0
     if n == k:
@@ -48,8 +47,7 @@ def tcs_formula(k: int, n: int, s: int) -> int:
 
 def hdim_formula(k: int, n: int) -> int:
     """Homotopy dimension (k-2) * floor(n/k); zero in the contractible range."""
-    if k < 3 or n < 1:
-        raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
+    check_domain(k, n)
     return (k - 2) * (n // k)
 
 

@@ -385,6 +385,13 @@ def check_ring(k: int, n: int) -> None:
         raise ParameterOutOfRange(f"need 3 <= k <= n <= {MAX_N}, got k={k}, n={n}")
 
 
+def check_domain(k: int, n: int) -> None:
+    """Raise ParameterOutOfRange unless k >= 3 and n >= 1, the domain of the
+    closed forms and of the certified bounds (n < k included)."""
+    if k < 3 or n < 1:
+        raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
+
+
 def check_degree_params(k: int, n: int, d: int) -> None:
     """Raise ParameterOutOfRange unless 3 <= k <= n <= MAX_N and d >= 0."""
     check_ring(k, n)
@@ -471,6 +478,7 @@ def make_x(m: int, k: int, n: int, primed: bool = False) -> StringPreorder:
     x'_m = (1..m-2,m)[m-1,m+1..m+k-2](m+k-1..n), defined for m >= 2.
     Empty () regions are suppressed.
     """
+    check_ring(k, n)
     if m < 1 or m + k > n + 2:
         raise IndexOutOfRange(f"need 1 <= m and m+k <= n+2, got m={m}, k={k}, n={n}")
     if primed and m < 2:
@@ -482,16 +490,3 @@ def make_x(m: int, k: int, n: int, primed: bool = False) -> StringPreorder:
         prefix = (prefix & ~(1 << (m - 2))) | (1 << (m - 1))
         bracket = (bracket & ~(1 << (m - 1))) | (1 << (m - 2))
     return _assemble(n, [(prefix, False), (bracket, True), (suffix, False)])
-
-
-def single_block(p: StringPreorder) -> tuple[int, int, int]:
-    """Decompose a single-block preorder as masks (I, J, K)."""
-    fulls = [(i, lv) for i, lv in enumerate(p.levels) if lv.full]
-    if len(fulls) != 1:
-        raise NotAdmissible(f"{p} is not a single-block preorder")
-    idx, (j_mask, _) = fulls[0]
-    if idx > 1 or len(p.levels) - 1 - idx > 1:
-        raise NotAdmissible(f"{p} is not of the form (I)[J](K)")
-    i_mask = p.levels[0].mask if idx == 1 else 0
-    k_mask = p.levels[-1].mask if idx < len(p.levels) - 1 else 0
-    return i_mask, j_mask, k_mask

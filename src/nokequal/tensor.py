@@ -11,19 +11,17 @@ from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from typing import Iterable
 
-from .cohomology import CohClass, _product, _term_masks, monomial_closure, normalize
+from .cohomology import CohClass, _product, _term_masks, normalize, witness_closure
 from .errors import (
     AmbientMismatch,
     CertificateFailure,
     IndexOutOfRange,
-    MalformedSyntax,
     NotAdmissible,
     ParameterOutOfRange,
 )
-from .preorder import StringPreorder, check_ring, classify, discrete, make_x, parse_preorder
+from .preorder import StringPreorder, check_domain, check_ring, discrete, make_x
 
 TENSOR_SIGN = "⊗"
-TENSOR_ASCII = "(x)"
 
 
 @dataclass(frozen=True)
@@ -82,50 +80,18 @@ class TensorClass:
         return "+".join(TENSOR_SIGN.join(str(p) for p in t) for t in keyed)
 
 
-def parse_tensor(text: str, k: int, n: int, s: int) -> TensorClass:
-    """Parse a "+"-joined, tensor-joined class; accepts the "(x)" alias."""
-    text = text.strip()
-    if text == "0":
-        return TensorClass.zero(k, n, s)
-    terms = set()
-    for chunk in text.split("+"):
-        parts = chunk.replace(TENSOR_ASCII, TENSOR_SIGN).split(TENSOR_SIGN)
-        if len(parts) != s:
-            raise MalformedSyntax(f"expected {s} tensor factors in {chunk!r}")
-        tup = tuple(parse_preorder(p.strip(), n) for p in parts)
-        for p in tup:
-            cls = classify(p, k)
-            if not (cls.is_basic or cls.d == 0):
-                raise MalformedSyntax(f"{p} is not a basic preorder for k={k}")
-        terms ^= {tup}
-    return TensorClass(k, n, s, frozenset(terms))
-
-
-@dataclass(frozen=True)
-class ZeroDivisorSpec:
-    """Parameters of the zero-divisor z_{m,q}: x_m in slot q plus x_m in
-    slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m."""
-
-    k: int
-    n: int
-    m: int
-    q: int = 1
-    s: int = 2
-    primed: bool = False
-
-    def __post_init__(self):
-        if not 1 <= self.q <= self.s - 1:
-            raise IndexOutOfRange(f"slot q={self.q} outside 1..{self.s - 1}")
-        if self.m + self.k > self.n + 2:
-            raise IndexOutOfRange(f"m={self.m} needs m+k <= n+2")
-
-
-def zero_divisor(spec: ZeroDivisorSpec) -> TensorClass:
-    k, n, s = spec.k, spec.n, spec.s
+def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
+                 primed: bool = False) -> TensorClass:
+    """The zero-divisor z_{m,q}: x_m (x'_m when primed) in slot q plus x_m
+    in slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m."""
+    if not 1 <= q <= s - 1:
+        raise IndexOutOfRange(f"slot q={q} outside 1..{s - 1}")
+    if m + k > n + 2:
+        raise IndexOutOfRange(f"m={m} needs m+k <= n+2")
     # x_{n-k+2} is elementary but not basic; normalize expresses it in the basis
-    x = normalize(make_x(spec.m, k, n, spec.primed), k)
+    x = normalize(make_x(m, k, n, primed), k)
     one = CohClass.unit(k, n)
-    first = TensorClass.pure([x if j == spec.q else one for j in range(1, s + 1)], k, n)
+    first = TensorClass.pure([x if j == q else one for j in range(1, s + 1)], k, n)
     last = TensorClass.pure([x if j == s else one for j in range(1, s + 1)], k, n)
     z = first + last
     if multiplication_image(z):
@@ -135,7 +101,7 @@ def zero_divisor(spec: ZeroDivisorSpec) -> TensorClass:
 
 def y(k: int, n: int, m: int, primed: bool = False) -> TensorClass:
     """The s=2 zero-divisor y_m = x_m⊗1 + 1⊗x_m."""
-    return zero_divisor(ZeroDivisorSpec(k, n, m, q=1, s=2, primed=primed))
+    return zero_divisor(k, n, m, primed=primed)
 
 
 def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
@@ -185,31 +151,36 @@ def multiplication_image(t: TensorClass) -> CohClass:
     return CohClass(k, n, frozenset(acc))
 
 
-def witness_product(k: int, n: int, i: int, s: int = 2) -> TensorClass:
-    """The structured product of s*i zero-divisors, fully normalized.
+def _structured_factors(k: int, i: int, s: int) -> list[tuple[int, int]]:
+    """Indices (m, q) of the structured witness's zero-divisors z_{m,q}: the
+    singles z_{(j-1)k+1,q} for q = 1..s-2, then the slot-(s-1) doubles
+    z_{(j-1)k+1,s-1} z_{(j-1)k+2,s-1}, for j = 1..i."""
+    singles = [((j - 1) * k + 1, q) for q in range(1, s - 1) for j in range(1, i + 1)]
+    doubles = [((j - 1) * k + off, s - 1) for j in range(1, i + 1) for off in (1, 2)]
+    return singles + doubles
 
-    The singles z_{(j-1)k+1,q} for q = 1..s-2 followed by the slot-(s-1)
-    doubles z_{(j-1)k+1,s-1} z_{(j-1)k+2,s-1}; for s=2 there are no
-    singles and the doubles are prod_j y_{(j-1)k+1} y_{(j-1)k+2}. Factors
-    are multiplied left-to-right so that zero terms are pruned as early as
-    possible.
-    """
-    if i < 1 or i * k > n or s < 2:
-        raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
-    factors: list[TensorClass] = []
-    for q in range(1, s - 1):
-        for j in range(1, i + 1):
-            factors.append(zero_divisor(ZeroDivisorSpec(k, n, (j - 1) * k + 1, q, s)))
-    for j in range(1, i + 1):
-        m = (j - 1) * k + 1
-        factors.append(zero_divisor(ZeroDivisorSpec(k, n, m, s - 1, s)))
-        factors.append(zero_divisor(ZeroDivisorSpec(k, n, m + 1, s - 1, s)))
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor_cup(out, f)
+
+def _chain(k: int, n: int, s: int, factors: list[tuple[int, int]]) -> TensorClass:
+    """Product of the zero-divisors z_{m,q} listed, left to right, stopping
+    at zero; every divisor is built first, so each one's kernel check runs."""
+    divisors = [zero_divisor(k, n, m, q, s) for m, q in factors]
+    out = divisors[0]
+    for z in divisors[1:]:
+        out = tensor_cup(out, z)
         if out.is_zero:
             break
     return out
+
+
+def witness_product(k: int, n: int, i: int, s: int = 2) -> TensorClass:
+    """The structured product of s*i zero-divisors (_structured_factors),
+    fully normalized; for s=2 it is prod_j y_{(j-1)k+1} y_{(j-1)k+2}.
+    Factors are multiplied left-to-right so that zero terms are pruned as
+    early as possible.
+    """
+    if i < 1 or i * k > n or s < 2:
+        raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
+    return _chain(k, n, s, _structured_factors(k, i, s))
 
 
 def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
@@ -232,18 +203,7 @@ def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
         factors.append(make_x(2 * j * k + 1, k, n, primed=not swap))
     if not odd:
         factors.append(make_x((2 * a - 1) * k + 1, k, n, primed=swap))
-    return CohClass.of(k, n, [_basic_closure(factors, k, n)])
-
-
-def _basic_closure(factors: list[StringPreorder], k: int, n: int) -> StringPreorder:
-    """Closure of a witness monomial, checked to be a basic preorder (a
-    basis element, hence a nonzero class)."""
-    mono = monomial_closure(factors, k, n)
-    if mono is None or not classify(mono, k).is_basic:
-        raise CertificateFailure(
-            f"witness monomial {'*'.join(map(str, factors))} closes to {mono}, "
-            "not a basic preorder")
-    return mono
+    return CohClass.of(k, n, [witness_closure(factors, k, n)])
 
 
 def expected_witness_term(k: int, n: int, i: int) -> tuple[StringPreorder, StringPreorder]:
@@ -252,8 +212,8 @@ def expected_witness_term(k: int, n: int, i: int) -> tuple[StringPreorder, Strin
     if i * k > n:
         raise ParameterOutOfRange("need ik <= n")
     if i * k < n:
-        return tuple(_basic_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
-                                    k, n)
+        return tuple(witness_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
+                                     k, n)
                      for off in (1, 2))
     (p1,) = p_witness(i, 1, k, n).terms
     (p2,) = p_witness(i, 2, k, n).terms
@@ -306,9 +266,12 @@ def _exhaustive_zcl(k: int, n: int) -> int:
 def zcl_lower(k: int, n: int, s: int = 2) -> int:
     """Certified lower bound for the s-th zero-divisor cup-length.
 
-    Each bound is backed by an explicitly nonzero product: s*floor(n/k)
-    structured factors for n > k, the chain z_{1,1}...z_{1,s-1} for n = k,
-    and nothing below. For s = 2 and k < n <= 2k, an exhaustive search over
+    The domain is that of the closed forms, k >= 3 and n >= 1; cells with
+    n < k are contractible and give 0. Every other bound is backed by an
+    explicitly nonzero product of the structured factors (_structured_factors):
+    all s*floor(n/k) of them for n > k, and for n = k all but the last,
+    z_{2,s-1}, which leaves the chain z_{1,1}...z_{1,s-1} (the full list
+    vanishes there). For s = 2 and k < n <= 2k, an exhaustive search over
     products of distinct y-type divisors (_exhaustive_zcl) derives the
     bound a second way. It can find no more than 2*floor(n/k) factors, by
     the slot degree bound, and no fewer, since its divisors include every
@@ -322,22 +285,17 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     """
     if s < 2:
         raise ParameterOutOfRange("s must be >= 2")
+    check_domain(k, n)
     if n < k:
         return 0
     if n == k:
-        factors = [zero_divisor(ZeroDivisorSpec(k, n, 1, q, s)) for q in range(1, s)]
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = tensor_cup(prod, f)
-        if not prod:
-            raise CertificateFailure("n=k chain product unexpectedly vanished")
-        return s - 1
-    i = n // k
-    prod = witness_product(k, n, i, s)
+        prod, bound = _chain(k, n, s, _structured_factors(k, 1, s)[:-1]), s - 1
+    else:
+        i = n // k
+        prod, bound = witness_product(k, n, i, s), s * i
     if not prod:
         raise CertificateFailure("structured witness product unexpectedly vanished")
-    bound = s * i
-    if s == 2 and n <= 2 * k:
+    if s == 2 and k < n <= 2 * k:
         searched = _exhaustive_zcl(k, n)
         if searched != bound:
             raise CertificateFailure(

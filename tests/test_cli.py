@@ -172,6 +172,17 @@ def test_normalize_in_a_ring_with_k_above_n_is_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zcl", "--k", "0", "--n", "0"],
+    ["witness", "--k", "0", "--n", "0", "--i", "1"],
+    ["zcl", "--k", "2", "--n", "5"],
+])
+def test_zcl_and_witness_out_of_range_are_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need ") and "k=" in err
+
+
 def test_betti_out_of_range_is_exit_2(capsys):
     for argv in (["--k", "2", "--n", "5"], ["--k", "4", "--n", "3"],
                  ["--k", "3", "--n", "5", "--d", "-1"]):

@@ -29,11 +29,12 @@ from nokequal.errors import (
     ParameterOutOfRange,
     TooLarge,
 )
-from nokequal.invariants import invariant_report
+from nokequal.invariants import cat_formula, invariant_report
 from nokequal.preorder import (
     RelationMatrix,
     StringPreorder,
     _assemble,
+    _factor_masks,
     _ksubsets,
     _submasks,
     admissible_blocks,
@@ -47,7 +48,6 @@ from nokequal.preorder import (
     make_x,
     mask_of,
     parse_preorder,
-    single_block,
     to_matrix,
     to_string_form,
     transitive_closure,
@@ -91,6 +91,13 @@ def test_monomial_closure_rejects_a_two_block_factor():
 def test_monomial_closure_rejects_a_factor_on_another_n():
     with pytest.raises(AmbientMismatch):
         monomial_closure([make_x(1, 3, 5)], 3, 6)
+
+
+def test_monomial_closure_refuses_a_ring_outside_the_range():
+    # an empty product has no factor to check, so only the ring check can refuse it
+    for k, n in ((2, 5), (4, 3), (3, 65)):
+        with pytest.raises(ParameterOutOfRange):
+            monomial_closure([], k, n)
 
 
 def warshall_closure(factors, k, n):
@@ -148,7 +155,7 @@ def random_factor_list(rng, k, n, length):
     how = rng.randrange(6)
     i = rng.randrange(length)
     if how == 0:
-        i_mask, j_mask, k_mask = single_block(factors[i])
+        (i_mask, j_mask, k_mask), = _factor_masks(n, admissible_blocks(factors[i].levels, k))
         bit = 1 << (rng.choice([e for e in range(1, n + 1) if not j_mask >> (e - 1) & 1]) - 1)
         levels = [(i_mask ^ bit, False), (j_mask, True), (k_mask ^ bit, False)]
         factors[i] = make_preorder(n, [(m, full) for m, full in levels if m])
@@ -444,6 +451,13 @@ def test_a_ring_with_k_above_n_is_refused_at_construction():
         CohClass.zero(2, 5)
 
 
+def test_a_refused_normalize_leaves_the_memo_unchanged(monkeypatch):
+    monkeypatch.setattr(cohomology, "_nf_memo", {})
+    with pytest.raises(ParameterOutOfRange):
+        normalize(parse_preorder("[1,2,3]"), 4)
+    assert cohomology._nf_memo == {}
+
+
 def test_a_repeated_cup_builds_no_preorder(monkeypatch):
     # The memo is keyed by level tuples, so a product already in it is
     # answered without building a StringPreorder.
@@ -537,6 +551,15 @@ def test_cup_length_examples():
     assert cup_length(3, 7) == 2
     assert cup_length(4, 9) == 2
     assert cup_length(5, 5) == 1
+    assert cup_length(3, 2) == 0
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 0), (0, 0)])
+def test_cup_length_refuses_what_cat_formula_refuses(k, n):
+    with pytest.raises(ParameterOutOfRange):
+        cat_formula(k, n)
+    with pytest.raises(ParameterOutOfRange):
+        cup_length(k, n)
 
 
 def test_cup_length_raises_when_the_grading_bound_fails(monkeypatch):

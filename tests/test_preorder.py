@@ -12,6 +12,7 @@ from nokequal.errors import (
 from nokequal.preorder import (
     RelationMatrix,
     _assemble,
+    _factor_masks,
     _ksubsets,
     _submasks,
     admissible_blocks,
@@ -27,7 +28,6 @@ from nokequal.preorder import (
     make_preorder,
     make_x,
     parse_preorder,
-    single_block,
     to_matrix,
     to_string_form,
 )
@@ -132,6 +132,13 @@ def test_make_x():
     assert str(make_x(2, 3, 5)) == "(1)[2,3](4,5)"
     # the primed variant swaps the roles of m-1 and m
     assert str(make_x(3, 3, 6, primed=True)) == "(1,3)[2,4](5,6)"
+
+
+def test_make_x_refuses_a_ring_outside_the_range():
+    # checked first: k = 0 would shift by -1, k = 2 would build a non-admissible preorder
+    for k, n in ((0, 0), (2, 5), (4, 3)):
+        with pytest.raises(ParameterOutOfRange):
+            make_x(1, k, n)
 
 
 def test_enumeration_counts():
@@ -322,9 +329,15 @@ def test_compose_associative_on_elementaries(data):
     assert left == right
 
 
-def nests(f, g):
+def single_masks(f, k):
+    """Masks (I, J, K) of an elementary factor (I)[J](K)."""
+    (masks,) = _factor_masks(f.n, admissible_blocks(f.levels, k))
+    return masks
+
+
+def nests(f, g, k):
     """Whether one single-block factor's I u J lies in the other's I."""
-    (i_f, j_f, _), (i_g, j_g, _) = single_block(f), single_block(g)
+    (i_f, j_f, _), (i_g, j_g, _) = single_masks(f, k), single_masks(g, k)
     return not (i_f | j_f) & ~i_g or not (i_g | j_g) & ~i_f
 
 
@@ -341,7 +354,7 @@ def check_pair(f, g, k):
     admissible, but for a repeated factor, which compose keeps (the ring's
     square of it is zero)."""
     closed = monomial_closure([f, g], k, f.n)
-    if nests(f, g):
+    if nests(f, g, k):
         assert closed is not None and compose(f, g) == closed, (f, g)
     elif f == g:
         assert closed is None and compose(f, g) == f
@@ -388,5 +401,5 @@ def test_enumerate_basic_matches_brute_filter():
 
 
 def test_single_block_decomposition():
-    i, j, k = single_block(parse_preorder("(1)[2,3](4,5)"))
-    assert (i, j, k) == (0b00001, 0b00110, 0b11000)
+    p = parse_preorder("(1)[2,3](4,5)")
+    assert _factor_masks(5, admissible_blocks(p.levels, 3)) == [(0b00001, 0b00110, 0b11000)]

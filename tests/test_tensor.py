@@ -4,7 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nokequal import tensor
+from nokequal import cohomology, tensor
 from nokequal.cohomology import CohClass, cup
 from nokequal.errors import (
     AmbientMismatch,
@@ -13,15 +13,14 @@ from nokequal.errors import (
     NotAdmissible,
     ParameterOutOfRange,
 )
+from nokequal.invariants import tcs_formula
 from nokequal.preorder import classify, discrete, enumerate_basic, parse_preorder
 from nokequal.tensor import (
     TensorClass,
-    ZeroDivisorSpec,
     _exhaustive_zcl,
     expected_witness_term,
     multiplication_image,
     p_witness,
-    parse_tensor,
     tensor_cup,
     witness_product,
     y,
@@ -35,7 +34,7 @@ def test_y_expansion():
 
 
 def test_zero_divisor_slot_layout():
-    z = zero_divisor(ZeroDivisorSpec(3, 5, 2, q=1, s=3))
+    z = zero_divisor(3, 5, 2, q=1, s=3)
     # x_2 in the first slot and x_2 in the last slot, units elsewhere
     assert len(z.terms) == 2
     for t in z.terms:
@@ -64,9 +63,9 @@ def test_zero_divisor_boundary_generator_is_normalized():
 
 def test_zero_divisor_index_checks():
     with pytest.raises(IndexOutOfRange):
-        ZeroDivisorSpec(3, 4, 5)  # m + k > n + 2
+        zero_divisor(3, 4, 5)  # m + k > n + 2
     with pytest.raises(IndexOutOfRange):
-        ZeroDivisorSpec(3, 4, 1, q=2, s=2)
+        zero_divisor(3, 4, 1, q=2, s=2)
 
 
 def test_y1_y2_nonzero_at_n4():
@@ -162,7 +161,7 @@ def test_p_witness_values():
 
 
 def test_witness_monomial_that_is_not_basic_is_a_certificate_failure(monkeypatch):
-    monkeypatch.setattr(tensor, "monomial_closure", lambda factors, k, n: None)
+    monkeypatch.setattr(cohomology, "monomial_closure", lambda factors, k, n: None)
     with pytest.raises(CertificateFailure):
         p_witness(2, 1, 3, 6)
     with pytest.raises(CertificateFailure):
@@ -172,6 +171,23 @@ def test_witness_monomial_that_is_not_basic_is_a_certificate_failure(monkeypatch
 def test_p_witness_requires_exact_multiple():
     with pytest.raises(ParameterOutOfRange):
         p_witness(2, 1, 3, 7)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_zcl_at_n_equals_k_drops_the_last_structured_factor(k, s):
+    # the full structured product vanishes at n = k; without its last
+    # factor z_{2,s-1} it is the chain z_{1,1}...z_{1,s-1}, of length s-1
+    assert witness_product(k, k, 1, s).is_zero
+    assert zcl_lower(k, k, s) == s - 1
+
+
+@pytest.mark.parametrize("k, n, s", [(2, 1, 2), (3, 0, 2), (2, 5, 2), (0, 0, 3)])
+def test_zcl_lower_refuses_what_tcs_formula_refuses(k, n, s):
+    with pytest.raises(ParameterOutOfRange):
+        tcs_formula(k, n, s)
+    with pytest.raises(ParameterOutOfRange):
+        zcl_lower(k, n, s)
 
 
 def test_zcl_lower_values():
@@ -197,7 +213,7 @@ def _reference_tensor_cup(a, b):
 
 
 def _divisors(k, n, s):
-    return [zero_divisor(ZeroDivisorSpec(k, n, m, q, s, primed))
+    return [zero_divisor(k, n, m, q, s, primed)
             for m in range(1, n - k + 3)
             for primed in ((False, True) if m >= 2 else (False,))
             for q in range(1, s)]
@@ -318,17 +334,6 @@ def test_zcl_search_disagreement_is_a_certificate_failure(monkeypatch):
     monkeypatch.setattr(tensor, "_exhaustive_zcl", lambda k, n: 1)
     with pytest.raises(CertificateFailure, match="exhaustive"):
         zcl_lower(3, 5, 2)
-
-
-def test_serialization_roundtrip_and_ascii_alias():
-    prod = tensor_cup(y(3, 4, 1), y(3, 4, 2))
-    assert parse_tensor(str(prod), 3, 4, 2).terms == prod.terms
-    ascii_text = str(prod).replace("⊗", "(x)")
-    assert parse_tensor(ascii_text, 3, 4, 2).terms == prod.terms
-
-
-def test_parse_zero():
-    assert parse_tensor("0", 3, 4, 2).is_zero
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
