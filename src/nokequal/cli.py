@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .cohomology import CohClass, betti, cup, normalize, oracle_normal_form
-from .errors import MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
+from .errors import DimensionMismatch, MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
 from .invariants import reports_to_csv, reports_to_json, verify_range
 from .planner import (
     SimplicialComplex,
@@ -134,7 +134,7 @@ def _cmd_plan(args) -> int:
         raise MalformedSyntax("pair must be a JSON array of two configurations")
     x, y = _coordinates(pair[0]), _coordinates(pair[1])
     domain, path = plan_conf3_3(x, y)
-    valid = validate_path(path, 3, samples=args.samples, strict=True)
+    valid = validate_path(path, 3, strict=True)
     print(json.dumps({
         "domain": domain,
         "path": [[_num(c) for c in pt] for pt in path.points],
@@ -143,17 +143,35 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _complex_data(data, dim: int) -> tuple[int, list]:
+    """n and the facets of a --complex value, checked before anything is
+    built: n an integer equal to the configuration's length dim, facets a
+    list of lists of integers."""
+    if not isinstance(data, dict) or "n" not in data or "facets" not in data:
+        raise MalformedSyntax('complex must be JSON {"n": ..., "facets": [[...]]}')
+    n, facets = data["n"], data["facets"]
+    if not _is_int(n):
+        raise MalformedSyntax(f"complex n {n!r:.24} is not an integer")
+    if n != dim:
+        raise DimensionMismatch(f"{dim} coordinates for {n} vertices")
+    if not (isinstance(facets, list)
+            and all(isinstance(f, list) and all(map(_is_int, f)) for f in facets)):
+        raise MalformedSyntax("complex facets must be a list of lists of integers")
+    return n, facets
+
+
 def _cmd_check(args) -> int:
     coords = _load_json(args.config, "configuration")
     if not isinstance(coords, list):
         raise MalformedSyntax("configuration must be a JSON array of numbers")
     coords = _coordinates(coords)
     if args.complex is not None:
-        data = _load_json(args.complex, "complex")
-        if not isinstance(data, dict) or "n" not in data or "facets" not in data:
-            raise MalformedSyntax('complex must be JSON {"n": ..., "facets": [[...]]}')
-        K = SimplicialComplex.from_facets(data["n"], data["facets"])
-        ok = in_conf_complex(coords, K)
+        n, facets = _complex_data(_load_json(args.complex, "complex"), len(coords))
+        ok = in_conf_complex(coords, SimplicialComplex.from_facets(n, facets))
     else:
         ok = in_conf_k(coords, args.k)
     print("true" if ok else "false")
@@ -218,7 +236,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="plan a motion between two 3-point configurations")
     p.add_argument("--pair", required=True, help="JSON [[x1,x2,x3],[y1,y2,y3]]")
-    p.add_argument("--samples", type=int, default=256)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("check", help="configuration membership test")

@@ -1,10 +1,13 @@
-"""Geometric side: membership predicates, the scale/offset reduction, and an
+"""Geometric side: membership predicates, the scale/offset reduction, an
 explicit two-domain motion planner for three points on the line with at most
-a double collision.
+a double collision, and a path validator.
 
 A configuration is in a space iff each class of equal coordinates is
 allowed: fewer than k members in Conf_k(R,n), a face of K in Conf_K(R,n).
-Membership and the exact segment test (_exit_time) apply this one rule."""
+_class_rule builds that rule once; membership, the planner and both modes
+of validate_path apply it. The exact segment test (_exit_time) decides
+every point of a segment over the rationals; the sampled mode checks float
+points only."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import ceil, floor, inf, isfinite, lcm, sqrt
+from math import inf, isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -35,9 +38,7 @@ def _classes(x: Configuration) -> Iterable[list[int]]:
 
 def in_conf_k(x: Configuration, k: int) -> bool:
     """True iff every class of equal coordinates has fewer than k members."""
-    if k < 2:
-        raise ParameterOutOfRange("k must be >= 2")
-    return all(len(c) < k for c in _classes(x))
+    return all(map(_class_rule(k, len(x)), _classes(x)))
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,25 @@ class SimplicialComplex:
         return cls(n, frozenset(faces))
 
 
+def _class_rule(constraint: Union[int, SimplicialComplex],
+                dim: int) -> Callable[[list[int]], bool]:
+    """The rule that a class of equal coordinates, a list of 1-based
+    indices into a configuration of dim coordinates, is allowed: fewer
+    than k members for constraint k, a face of K for constraint K (a single
+    index always is one). The rule is downward closed."""
+    if isinstance(constraint, SimplicialComplex):
+        if dim != constraint.n:
+            raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
+        faces = constraint.faces
+        return lambda c: len(c) < 2 or frozenset(c) in faces
+    if constraint < 2:
+        raise ParameterOutOfRange("k must be >= 2")
+    return lambda c: len(c) < constraint
+
+
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
     """True iff every class of two or more equal coordinates is a face of K."""
-    if len(x) != K.n:
-        raise DimensionMismatch(f"{len(x)} coordinates for {K.n} vertices")
-    return all(len(c) < 2 or frozenset(c) in K.faces for c in _classes(x))
+    return all(map(_class_rule(K, len(x)), _classes(x)))
 
 
 def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
@@ -287,9 +302,10 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     """
     if len(x) != 3 or len(y) != 3:
         raise DimensionMismatch("planner works on 3 coordinates")
-    if not in_conf_k(x, 3) or not in_conf_k(y, 3):
+    ok = _class_rule(3, 3)
+    if not all(map(ok, chain(_classes(x), _classes(y)))):
         raise NotInSpace("endpoint has a triple collision")
-    t = _exit_time(x, y, lambda c: len(c) < 3)
+    t = _exit_time(x, y, ok)
     if t is None:
         return 0, Path.through(x, y)
     return 1, Path.through(x, _detour_waypoint(x, y, t), y)
@@ -328,84 +344,32 @@ def pullback_rule(alpha: Callable, beta: Callable, homotopy_H: Callable,
     return Path(tuple(pts))
 
 
-# The rounding bound of a sampled column (see _sampled_ok): c u with c = 8
-# and u = 2**-53, and an absolute term that covers underflow
-_REL_BOUND = 2.0 ** -50
-_ABS_BOUND = 2.0 ** -1072
-
-
-def _window(ci: tuple, cj: tuple, n: int) -> range:
-    """The interior sample indices m (1 <= m < n) at which the columns ci
-    and cj, each (fa, fb, d) with d None for an overflow column, can be
-    equal; see _sampled_ok for why the window holds every such m."""
-    (fa, _, d), (ga, _, e) = ci, cj
-    if d is None or e is None:
-        return range(1, n)
-    bound = (abs(fa) + abs(d) + abs(ga) + abs(e)) * _REL_BOUND + _ABS_BOUND
-    if not isfinite(bound):
-        return range(1, n)
-    # a finite bound keeps e0, s and every value of both columns finite
-    e0, s = fa - ga, d - e
-    if s == 0:
-        return range(1, n) if abs(e0) <= bound else range(0)
-    lo, hi = sorted(((-e0 - bound) / s, (-e0 + bound) / s))
-    first = max(lo * n - 2, 1.0)
-    last = min(hi * n + 2, n - 1.0)
-    return range(ceil(first), floor(last) + 1) if first <= last else range(0)
-
-
 def _sampled_ok(a: Configuration, b: Configuration, samples: int,
-                member: Callable[[tuple], bool]) -> bool:
-    """True iff member holds at every point a + t(b - a) for the times
-    t = m/N, m = 0..N, N = samples - 1.
+                ok: Callable[[list[int]], bool]) -> bool:
+    """True iff every class of equal coordinates is ok at each float point
+    of a + t(b - a) for the times t = m/N, m = 0..N, N = samples - 1.
 
-    Coordinate i runs through the column float(a_i) + t * float(b_i - a_i),
-    the floats that a_i + t * (b_i - a_i) gives for int, float and Fraction
-    operands, between its ends float(a_i) and float(b_i). The ends are
-    taken as they are because the sum can lose them: after a_i near the
-    top of the float range it rounds a subnormal b_i to 0.0 at t = 1. A
-    column whose difference b_i - a_i is beyond the float range, where
-    that sum would be inf or NaN, runs through (1 - t) * float(a_i) +
-    t * float(b_i) instead, which stays in range. A point can leave the
-    space only where two coordinates agree (a class of one is always
-    allowed), so member is asked only at the times where some
-    pair of columns is equal, in increasing order. Exact coordinates
-    beyond the float range raise ParameterOutOfRange.
-
-    No column is built; each pair compares its ends directly and evaluates
-    the column formula only inside a window of indices. With fa = float(a_i)
-    and d = float(b_i - a_i), the value fl(fa + fl(t d)) at an interior
-    index m, where t = fl(m/N), is within
-
-        B_i = c u (|fa| + |d|) + eta
-
-    of the exact fa + (m/N) d, with u = 2**-53 and eta covering underflow:
-    t, the product and the sum are each rounded once, which gives at most
-    u |fa| + (3u + u^2) |d|. Two columns can therefore be equal at m only
-    where the affine difference E(T) = e0 + T s, e0 = fa_i - fa_j and
-    s = d_i - d_j, has |E(m/N)| <= B_i + B_j. Those m form one window
-    around the crossing time -e0/s, of O(1) width when the columns cross;
-    it is empty when they are apart at both ends and do not cross, and all
-    of 1..N-1 when s = 0 and |e0| is within the bound. _window takes c = 8,
-    which also covers the rounding of e0, s and the bound (about 4u in all
-    would do), and widens the window by two indices for the rounding of
-    its ends. A pair with an overflow column, or whose bound is not finite,
-    takes every interior index. Every index in a window is compared on the
-    real float values, so the hits, and the points member is asked at, are
-    those of the full columns.
+    Coordinate i is float(a_i) at m = 0, float(b_i) at m = N, and
+    float(a_i) + t * float(b_i - a_i) in between: the floats that
+    a_i + t * (b_i - a_i) gives for int, float and Fraction operands. The
+    ends are taken as they are because that sum can lose them: after a_i
+    near the top of the float range it rounds a subnormal b_i to 0.0 at
+    t = 1. Where b_i - a_i is beyond the float range the sum would be inf
+    or NaN, so the coordinate is the convex sum (1 - t) * float(a_i) +
+    t * float(b_i), which stays in range. Exact coordinates beyond the
+    float range raise ParameterOutOfRange.
     """
     n = samples - 1
     cols = []
     try:
         for ai, bi in zip(a, b):
-            fa, fb, d = float(ai), float(bi), bi - ai
+            d = bi - ai
             # exact for int, float and Fraction; false for inf and NaN
-            cols.append((fa, fb, float(d) if abs(d) <= _FLOAT_MAX else None))
+            cols.append((float(ai), float(bi), float(d) if abs(d) <= _FLOAT_MAX else None))
     except OverflowError:  # float() of an exact coordinate beyond the range
         raise ParameterOutOfRange("coordinate beyond the float range") from None
 
-    def at(col: tuple, m: int) -> float:
-        fa, fb, d = col
+    def at(fa: float, fb: float, d: Optional[float], m: int) -> float:
         if m == 0:
             return fa
         if m == n:
@@ -413,55 +377,29 @@ def _sampled_ok(a: Configuration, b: Configuration, samples: int,
         t = m / n
         return fa + t * d if d is not None else (1 - t) * fa + t * fb
 
-    hits = set()
-    for ci, cj in combinations(cols, 2):
-        if ci[0] == cj[0]:
-            hits.add(0)
-        if ci[1] == cj[1]:
-            hits.add(n)
-        hits.update(m for m in _window(ci, cj, n) if at(ci, m) == at(cj, m))
-    return all(member(tuple(at(col, m) for col in cols)) for m in sorted(hits))
+    return all(all(map(ok, _classes(tuple(at(*col, m) for col in cols))))
+               for m in range(samples))
 
 
 def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
                   samples: int = 256, strict: bool = False) -> bool:
-    """Check that a path stays inside the configuration space.
+    """Check that a path stays inside the configuration space: every class
+    of equal coordinates has fewer than k members, or is a face of K.
 
-    Sampled mode checks `samples` uniform points per segment (endpoints
-    included), each coordinate evaluated in floats at every sample time,
-    and runs the full membership test only at the times where two
-    coordinates are equal, since a point with pairwise distinct
-    coordinates is in every space. No sample list is built: a coordinate
-    is within a rounding bound B_i = c u (|a_i| + |b_i - a_i|) + eta of
-    its exact value, so two coordinates can be equal only at the samples
-    where their exact difference, affine in t, is within B_i + B_j; those
-    form a window of a few samples around their crossing time, and only
-    the window is evaluated (see _sampled_ok). The cost per segment does
-    not depend on `samples` unless two coordinates stay that close along
-    the segment or a difference b_i - a_i is beyond the float range.
-    Membership, sampled and strict, is the class test: every class of
-    equal coordinates has fewer than k members, or is a face of K. Strict
-    mode additionally finds, per segment, the first exact time at which a
-    class is not allowed (_exit_time); it catches crossings that land
-    between samples.
+    Strict mode is exact: per segment, _exit_time finds over the rationals
+    the first time at which a class is not allowed, so every point of the
+    path is decided and `samples` is not used. Sampled mode checks
+    `samples` uniform points per segment, endpoints included, each
+    evaluated in floats (see _sampled_ok); it can miss a crossing between
+    samples and can see one that only rounding makes.
     """
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
-    dim = len(path.start)
-    if isinstance(constraint, SimplicialComplex):
-        if dim != constraint.n:
-            raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
-        faces = constraint.faces
-        ok = lambda c: frozenset(c) in faces
-    else:
-        k = constraint
-        if k < 2:
-            raise ParameterOutOfRange("k must be >= 2")
-        ok = lambda c: len(c) < k
-    member = lambda pt: all(map(ok, _classes(pt)))
+    ok = _class_rule(constraint, len(path.start))
     for a, b in path.pieces:
-        if not _sampled_ok(a, b, samples, member):
-            return False
-        if strict and _exit_time(a, b, ok) is not None:
+        if strict:
+            if _exit_time(a, b, ok) is not None:
+                return False
+        elif not _sampled_ok(a, b, samples, ok):
             return False
     return True

@@ -209,8 +209,8 @@ def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
 def expected_witness_term(k: int, n: int, i: int) -> tuple[StringPreorder, StringPreorder]:
     """The designated tensor basis element of the s=2 witness product:
     prod x_{(j-1)k+1} ⊗ prod x_{(j-1)k+2} when ik < n, else p_{i,1}⊗p_{i,2}."""
-    if i * k > n:
-        raise ParameterOutOfRange("need ik <= n")
+    if i < 1 or i * k > n:
+        raise ParameterOutOfRange(f"need 1 <= i, ik <= n; got i={i}")
     if i * k < n:
         return tuple(witness_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
                                      k, n)

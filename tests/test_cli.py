@@ -5,6 +5,7 @@ import math
 import pytest
 
 from nokequal.cli import main
+from nokequal.planner import SimplicialComplex
 
 
 def run(capsys, *argv):
@@ -135,6 +136,31 @@ def test_check_complex_on_24_points(capsys):
         assert (code, out.strip()) == (0, want)
 
 
+@pytest.mark.parametrize("complex_json", [
+    '{"n": "3", "facets": []}',
+    '{"n": 3.0, "facets": [[1,2]]}',
+    '{"n": true, "facets": []}',
+    '{"n": 3, "facets": [1]}',
+    '{"n": 3, "facets": [[1,"2"]]}',
+    '{"n": 3, "facets": {}}',
+])
+def test_check_malformed_complex_is_exit_2(capsys, complex_json):
+    code, out, err = run(capsys, "check", "--config", "[5,5,7]", "--complex", complex_json)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: complex ")
+
+
+def test_check_complex_of_the_wrong_size_fails_before_building(capsys, monkeypatch):
+    # a huge n is refused by its size alone: no face is ever built
+    def build(*_):
+        raise AssertionError("the complex was built")
+    monkeypatch.setattr(SimplicialComplex, "from_facets", build)
+    code, out, err = run(capsys, "check", "--config", "[5,5,7]", "--complex",
+                         '{"n": 1000000000000, "facets": []}')
+    assert (code, out) == (2, "")
+    assert "3 coordinates for 1000000000000 vertices" in err
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "--k", "3", "--n", "4", "--d", "1")
     assert code == 0
@@ -146,6 +172,13 @@ def test_usage_error_is_exit_1(capsys):
     code, _, err = run(capsys, "betti", "--k", "3")
     assert code == 1
     assert "required" in err
+
+
+def test_plan_has_no_samples_option(capsys):
+    # validation is exact, so a sample count would change nothing
+    code, out, err = run(capsys, "plan", "--samples", "8", "--pair", "[[0,1,2],[2,1,0]]")
+    assert (code, out) == (1, "")
+    assert "--samples" in err
 
 
 def test_table_has_no_jobs_option(capsys):

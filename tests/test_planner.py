@@ -3,8 +3,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, compress
-from operator import eq
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,9 +17,7 @@ from nokequal.errors import (
 from nokequal.planner import (
     Path,
     SimplicialComplex,
-    _FLOAT_MAX,
     _exit_time,
-    _sampled_ok,
     in_conf_complex,
     in_conf_k,
     inverse_reduce,
@@ -327,10 +324,24 @@ def test_sampling_sees_a_collision_whose_difference_overflows(scale):
 
 
 def test_validate_rejects_exact_coordinates_beyond_float_range():
+    # only the sampled mode needs floats; the exact test decides the path
     x = (0, 10**400, 1)
     _, path = plan_conf3_3(x, tuple(10 - v for v in x))
+    assert validate_path(path, 3, strict=True)
     with pytest.raises(ParameterOutOfRange):
-        validate_path(path, 3, strict=True)
+        validate_path(path, 3)
+
+
+def test_strict_validation_ignores_a_collision_made_by_rounding():
+    # the segment is exactly clear; its float sample at t = 1/2 rounds the
+    # last three coordinates to one value
+    seg = Path.through(
+        (738.2574616181769, 157.05195736675535, -222.36509603239222,
+         -721.1010481726528, -753.4235034114778),
+        (590.7641280483409, -1476.3005047689771, -1096.8834513698298,
+         -598.1474992295691, -565.8250439907441))
+    assert validate_path(seg, 3, samples=9, strict=True)
+    assert not validate_path(seg, 3, samples=9)
 
 
 def test_validate_rejects_k_below_2_on_a_clear_path():
@@ -338,12 +349,11 @@ def test_validate_rejects_k_below_2_on_a_clear_path():
         validate_path(Path.through((0, 1, 2), (3, 5, 4)), 1)
 
 
-def sampled_validate_path(path, constraint, samples=256, strict=False):
-    """validate_path as it was before sample screening: a tuple and a
-    membership test for every sample point, the first and last of which are the segment's
-    ends as floats, and a column whose difference overflows sampled as
-    (1 - t) a + t b. Kept as the oracle of the screened check; its strict
-    part is the per-pattern Fraction solve."""
+def sampled_validate_path(path, constraint, samples=256):
+    """The sampled mode of validate_path, evaluated on the coordinates' own
+    types and checked with the public membership tests: every sample point,
+    the first and last of which are the segment's ends as floats, and a
+    column whose difference overflows sampled as (1 - t) a + t b."""
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
     dim = len(path.start)
@@ -364,8 +374,6 @@ def sampled_validate_path(path, constraint, samples=256, strict=False):
                 pt = tuple(map(float, b if i else a))
             if not member(pt):
                 return False
-        if strict and pattern_exit_time(a, b, constraint) is not None:
-            return False
     return True
 
 
@@ -429,109 +437,16 @@ def oracle_cases(seed, count):
 def test_screened_sampling_matches_the_counter_oracle():
     checked = rejected = 0
     for path, constraint, samples in oracle_cases(2026, 2000):
-        for strict in (False, True):
-            want = sampled_validate_path(path, constraint, samples, strict)
-            got = validate_path(path, constraint, samples, strict)
-            assert got == want, (path.points, constraint, samples, strict)
-            checked += 1
-            rejected += not got
+        want = sampled_validate_path(path, constraint, samples)
+        got = validate_path(path, constraint, samples)
+        assert got == want, (path.points, constraint, samples)
+        want = all(pattern_exit_time(a, b, constraint) is None for a, b in path.pieces)
+        got_strict = validate_path(path, constraint, samples, strict=True)
+        assert got_strict == want, (path.points, constraint, samples)
+        checked += 2
+        rejected += (not got) + (not got_strict)
     # the stream must exercise both verdicts
     assert 0.2 < rejected / checked < 0.8
-
-
-def column_sampled_ok(a, b, ts, member):
-    """_sampled_ok as it was before the window screen, verbatim: each
-    coordinate is built as a full column over the sample times ts, and
-    every pair of columns is compared at every time. Kept as the oracle
-    of the screen."""
-    cols = []
-    try:
-        for ai, bi in zip(a, b):
-            fa, fb, d = float(ai), float(bi), bi - ai
-            # exact for int, float and Fraction; false for inf and NaN
-            if abs(d) <= _FLOAT_MAX:
-                d = float(d)
-                col = [fa + t * d for t in ts]
-            else:
-                col = [(1 - t) * fa + t * fb for t in ts]
-            col[0], col[-1] = fa, fb
-            cols.append(col)
-    except OverflowError:  # float() of an exact coordinate beyond the range
-        raise ParameterOutOfRange("coordinate beyond the float range") from None
-    hits = set()
-    for ci, cj in combinations(cols, 2):
-        if any(map(eq, ci, cj)):
-            hits.update(compress(range(len(ts)), map(eq, ci, cj)))
-    return all(member(tuple(col[i] for col in cols)) for i in sorted(hits))
-
-
-EDGE_KINDS = ("dyadic", "ulp", "subnormal", "overflow", "fraction", "int")
-
-
-def edge_segments(seed, count):
-    """A seeded stream of (a, b, samples) at the edges of the window screen:
-    dyadic columns that meet a base column exactly at a sample time,
-    columns a few ulps off a base column in start and slope at scales
-    1e-300..1e300 (as Fractions, so that their floats are exactly those),
-    subnormal columns down to 2**-1074, columns near 1e308 whose
-    differences overflow, Fraction and int columns, and mixtures."""
-    rng = random.Random(seed)
-    big = (1e308, 1.7e308, int(1e308), sys.float_info.max)
-    for _ in range(count):
-        samples = rng.choice((2, 3, 255, 256, 257, 1000))
-        n = samples - 1
-        dim = rng.randint(3, 5)
-        kinds = ([rng.choice(EDGE_KINDS)] * dim if rng.random() < 0.7
-                 else [rng.choice(EDGE_KINDS) for _ in range(dim)])
-        scale = 2.0 ** rng.randint(-60, 60)
-        base, rise = rng.randint(-50, 50), rng.randint(-50, 50)
-        size = 10 ** rng.uniform(-300, 300)
-        fa0 = size * rng.uniform(-1, 1)
-        d0 = size * 10 ** rng.uniform(-3, 3) * rng.uniform(-1, 1)
-        unit = 2.0 ** (-1074 + rng.randint(0, 60))
-        a, b = [], []
-        for kind in kinds:
-            if kind == "dyadic":  # meets (base, base + rise) at t = m/n
-                m, j = rng.randint(0, n), rng.randint(-3, 3)
-                ai, bi = (base - m * j) * scale, (base + rise + (n - m) * j) * scale
-            elif kind == "ulp":
-                fa, d = fa0, d0
-                for _ in range(rng.randint(0, 3)):
-                    fa = math.nextafter(fa, rng.choice((-math.inf, math.inf)))
-                for _ in range(rng.randint(0, 3)):
-                    d = math.nextafter(d, rng.choice((-math.inf, math.inf)))
-                ai, bi = Fraction(fa), Fraction(fa) + Fraction(d)
-            elif kind == "subnormal":
-                ai, bi = rng.randint(-8, 8) * unit, rng.randint(-8, 8) * unit
-            elif kind == "overflow":
-                c = rng.choice(big)
-                ai, bi = rng.choice((c, -c, 0.0)), rng.choice((c, -c, 0.0))
-            elif kind == "fraction":
-                ai, bi = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
-                          for _ in "ab")
-            else:
-                ai, bi = rng.randint(-3, 3), rng.randint(-3, 3)
-            a.append(ai)
-            b.append(bi)
-        yield tuple(a), tuple(b), samples
-
-
-def _points_asked(screen, a, b, times):
-    asked = []
-    screen(a, b, times, lambda pt: asked.append(pt) or True)
-    return asked
-
-
-def test_window_screen_asks_member_at_the_oracle_points():
-    interior = 0
-    for a, b, samples in edge_segments(2027, 4000):
-        ts = [i / (samples - 1) for i in range(samples)]
-        want = _points_asked(column_sampled_ok, a, b, ts)
-        assert _points_asked(_sampled_ok, a, b, samples) == want, (a, b, samples)
-        interior += any(pt not in (tuple(map(float, a)), tuple(map(float, b)))
-                        for pt in want)
-    # the stream must meet columns between the ends, not only at them
-    assert interior > 1000
 
 
 def test_validate_path_memory_does_not_grow_with_samples():
@@ -539,7 +454,7 @@ def test_validate_path_memory_does_not_grow_with_samples():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        assert validate_path(seg, 3, samples=10**5, strict=True)
+        assert validate_path(seg, 3, samples=10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

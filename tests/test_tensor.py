@@ -154,6 +154,13 @@ def test_witness_rejects_bad_parameters():
         witness_product(3, 6, 2, 1)
 
 
+@pytest.mark.parametrize("i", [0, -1])
+def test_expected_witness_term_rejects_an_index_below_1(i):
+    # an empty product would close to the unit pair, which certifies nothing
+    with pytest.raises(ParameterOutOfRange):
+        expected_witness_term(3, 7, i)
+
+
 def test_p_witness_values():
     assert str(next(iter(p_witness(2, 1, 3, 6).terms))) == "[1,2](3)[4,5](6)"
     assert str(next(iter(p_witness(2, 2, 3, 6).terms))) == "[1,2](4)[3,5](6)"
