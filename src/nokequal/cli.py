@@ -23,7 +23,7 @@ from .planner import (
     validate_path,
 )
 from .preorder import parse_preorder
-from .tensor import expected_witness_term, witness_product, zcl_lower
+from .tensor import TENSOR_SIGN, expected_witness_term, witness_product, zcl_lower
 
 
 class UsageError(Exception):
@@ -84,10 +84,10 @@ def _cmd_cup(args) -> int:
 def _cmd_witness(args) -> int:
     w = witness_product(args.k, args.n, args.i, args.s)
     print(w)
-    if args.s == 2:
-        term = expected_witness_term(args.k, args.n, args.i)
+    if args.n > args.k:  # at n = k the product vanishes and has no designated term
+        term = expected_witness_term(args.k, args.n, args.i, args.s)
         coeff = 1 if term in w.terms else 0
-        print(f"coefficient of {term[0]}⊗{term[1]}: {coeff}")
+        print(f"coefficient of {TENSOR_SIGN.join(map(str, term))}: {coeff}")
     print(f"nonzero: {'yes' if w else 'no'}")
     return 0
 

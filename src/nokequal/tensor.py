@@ -11,7 +11,14 @@ from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from typing import Iterable
 
-from .cohomology import CohClass, _product, _term_masks, normalize, witness_closure
+from .cohomology import (
+    CohClass,
+    _close,
+    _product,
+    _term_masks,
+    normalize,
+    witness_closure,
+)
 from .errors import (
     AmbientMismatch,
     CertificateFailure,
@@ -206,18 +213,68 @@ def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
     return CohClass.of(k, n, [witness_closure(factors, k, n)])
 
 
-def expected_witness_term(k: int, n: int, i: int) -> tuple[StringPreorder, StringPreorder]:
-    """The designated tensor basis element of the s=2 witness product:
-    prod x_{(j-1)k+1} ⊗ prod x_{(j-1)k+2} when ik < n, else p_{i,1}⊗p_{i,2}."""
-    if i < 1 or i * k > n:
-        raise ParameterOutOfRange(f"need 1 <= i, ik <= n; got i={i}")
+def expected_witness_term(k: int, n: int, i: int, s: int = 2) -> tuple[StringPreorder, ...]:
+    """The designated tensor basis element of the structured witness product:
+    m_0 = prod x_{(j-1)k+1} in slots 1..s-2, then m_0⊗m_1 with
+    m_1 = prod x_{(j-1)k+2} when ik < n, else p_{i,1}⊗p_{i,2}."""
+    if i < 1 or i * k > n or s < 2:
+        raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
+
+    def closure(off: int) -> StringPreorder:
+        return witness_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
+                               k, n)
+
+    m0 = closure(1)
     if i * k < n:
-        return tuple(witness_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
-                                     k, n)
-                     for off in (1, 2))
+        return (m0,) * (s - 1) + (closure(2),)
     (p1,) = p_witness(i, 1, k, n).terms
     (p2,) = p_witness(i, 2, k, n).terms
-    return p1, p2
+    return (m0,) * (s - 2) + (p1, p2)
+
+
+def _witness_coefficient(k: int, n: int, i: int, s: int,
+                         term: tuple[StringPreorder, ...]) -> int:
+    """Coefficient of the s-tuple of basic terms `term` in
+    witness_product(k, n, i, s), read from factor masks: no TensorClass
+    product is built.
+
+    Expanding each factor z_{m,q} routes x_m either to slot q or to slot s,
+    and the coefficient is the GF(2) number of routings whose slot products
+    all contain the term's entries. With a_j = (j-1)k+1, two facts cut the
+    routings to 2^i, and each is checked here (CertificateFailure when it
+    fails):
+    - the pairs vanish: x_{a_j} x_{a_j+1} = 0, so the double
+      z_{a_j,s-1} z_{a_j+1,s-1} puts one factor in slot s-1 and the other
+      in slot s, and slot s holds i factors from the doubles;
+    - the singles are forced: a single z_{a_j,q} routed to slot s would
+      give it i+1 > floor(n/k) factors, a vanishing degree, so every single
+      stays in its slot q, and each of the slots 1..s-2 is the one product
+      prod_j x_{a_j}.
+    What is left is summed exactly over eps in {0,1}^i: slot s-1 holds
+    prod_j x_{a_j+eps_j} and slot s prod_j x_{a_j+1-eps_j}; the slot-s
+    product is formed only when slot s-1 contains its entry.
+    """
+    lo, hi = ([_term_masks(make_x((j - 1) * k + off, k, n), k, n)[0]
+               for j in range(1, i + 1)]
+              for off in (1, 2))
+    for j, pair in enumerate(zip(lo, hi)):
+        if _close(n, list(pair)) is not None:
+            a = j * k + 1
+            raise CertificateFailure(f"x_{a} x_{a + 1} does not vanish: a double "
+                                     "can put both its factors in one slot")
+    if s > 2:
+        if i + 1 <= n // k:
+            raise CertificateFailure(f"a single in slot {s} gives it {i + 1} <= "
+                                     f"floor(n/k) = {n // k} factors: singles are not forced")
+        singles = _product(k, n, lo)
+        if any(t not in singles for t in term[:-2]):
+            return 0
+    first, last = term[-2:]
+    coeff = 0
+    for eps in iproduct((False, True), repeat=i):
+        if first in _product(k, n, [h if e else l for l, h, e in zip(lo, hi, eps)]):
+            coeff ^= last in _product(k, n, [l if e else h for l, h, e in zip(lo, hi, eps)])
+    return coeff
 
 
 def _exhaustive_zcl(k: int, n: int) -> int:
@@ -267,21 +324,34 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     """Certified lower bound for the s-th zero-divisor cup-length.
 
     The domain is that of the closed forms, k >= 3 and n >= 1; cells with
-    n < k are contractible and give 0. Every other bound is backed by an
-    explicitly nonzero product of the structured factors (_structured_factors):
-    all s*floor(n/k) of them for n > k, and for n = k all but the last,
-    z_{2,s-1}, which leaves the chain z_{1,1}...z_{1,s-1} (the full list
-    vanishes there). For s = 2 and k < n <= 2k, an exhaustive search over
-    products of distinct y-type divisors (_exhaustive_zcl) derives the
-    bound a second way. It can find no more than 2*floor(n/k) factors, by
-    the slot degree bound, and no fewer, since its divisors include every
-    factor of the structured witness; so the two must be equal, and
-    CertificateFailure is raised when they are not, or when a witness
-    product vanishes. The search is depth-first in ascending divisor order
-    and returns at the first nonzero product of 2*floor(n/k) factors; no
-    product is longer, so stopping there gives the value a full search
-    would, and a search that never reaches the bound runs to the end and
-    reports its true maximum, which then fails the comparison.
+    n < k are contractible and give 0. Every other bound is backed by a
+    nonzero product of the structured factors (_structured_factors), each
+    built by zero_divisor, so each one's kernel check runs.
+
+    For n > k the product is all s*i of them, i = floor(n/k), and it is
+    certified nonzero by one coefficient: that of the designated term
+    (m_0, ..., m_0, t_{s-1}, t_s) of expected_witness_term, which
+    _witness_coefficient reads from factor masks without expanding the
+    product. It checks that the pairs x_{a_j} x_{a_j+1} vanish (so each
+    double splits between slots s-1 and s) and that the singles are forced
+    into their own slots by the degree bound, then sums the last two slots
+    exactly over the 2^i patterns; the sum must be 1. witness_product, the
+    full expansion, is kept for display (nokequal witness) and as the
+    tests' oracle for this coefficient.
+
+    For n = k the full list vanishes; all but its last factor z_{2,s-1}
+    leaves the chain z_{1,1}...z_{1,s-1}, which is multiplied out.
+
+    For s = 2 and k < n <= 2k, an exhaustive search over products of
+    distinct y-type divisors (_exhaustive_zcl) derives the bound a second
+    way. It can find no more than 2*floor(n/k) factors, by the slot degree
+    bound, and no fewer, since its divisors include every factor of the
+    structured witness; so the two must be equal. The search is depth-first
+    in ascending divisor order and returns at the first nonzero product of
+    2*floor(n/k) factors; no product is longer, so stopping there gives the
+    value a full search would, and a search that never reaches the bound
+    runs to the end and reports its true maximum, which then fails the
+    comparison. CertificateFailure is raised when any of these checks fails.
     """
     if s < 2:
         raise ParameterOutOfRange("s must be >= 2")
@@ -289,13 +359,19 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     if n < k:
         return 0
     if n == k:
-        prod, bound = _chain(k, n, s, _structured_factors(k, 1, s)[:-1]), s - 1
-    else:
-        i = n // k
-        prod, bound = witness_product(k, n, i, s), s * i
-    if not prod:
-        raise CertificateFailure("structured witness product unexpectedly vanished")
-    if s == 2 and k < n <= 2 * k:
+        if not _chain(k, n, s, _structured_factors(k, 1, s)[:-1]):
+            raise CertificateFailure("structured witness product unexpectedly vanished")
+        return s - 1
+    i = n // k
+    for m, q in _structured_factors(k, i, s):
+        zero_divisor(k, n, m, q, s)
+    term = expected_witness_term(k, n, i, s)
+    if _witness_coefficient(k, n, i, s, term) != 1:
+        raise CertificateFailure(
+            f"the coefficient of {TENSOR_SIGN.join(map(str, term))} in the "
+            "structured witness product vanished")
+    bound = s * i
+    if s == 2 and n <= 2 * k:
         searched = _exhaustive_zcl(k, n)
         if searched != bound:
             raise CertificateFailure(

@@ -137,7 +137,8 @@ def test_criterion_06_tcs_certificates(report):
     t0 = time.perf_counter()
     ok = True
     for k, n, s in [(3, 6, 3), (3, 7, 3), (3, 6, 4)]:
-        if witness_product(k, n, n // k, s).is_zero:
+        w = witness_product(k, n, n // k, s)
+        if w.is_zero or expected_witness_term(k, n, n // k, s) not in w.terms:
             ok = False
     report("6 TC_s certificates", ok, time.perf_counter() - t0, 120)
 

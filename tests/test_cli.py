@@ -42,6 +42,19 @@ def test_witness(capsys):
     assert out.strip().endswith("nonzero: yes")
 
 
+def test_witness_prints_the_designated_coefficient_for_every_s(capsys):
+    code, out, _ = run(capsys, "witness", "--k", "3", "--n", "7", "--i", "2", "--s", "3")
+    assert code == 0
+    assert ("coefficient of [1,2](3)[4,5](6,7)⊗[1,2](3)[4,5](6,7)⊗(1)[2,3](4)[5,6](7): 1"
+            in out)
+
+
+@pytest.mark.parametrize("s", ["2", "3"])
+def test_witness_at_n_equals_k_has_no_designated_term(capsys, s):
+    code, out, err = run(capsys, "witness", "--k", "3", "--n", "3", "--i", "1", "--s", s)
+    assert (code, out, err) == (0, "0\nnonzero: no\n", "")
+
+
 def test_zcl(capsys):
     code, out, _ = run(capsys, "zcl", "--k", "3", "--n", "7")
     assert (code, out.strip()) == (0, "4")

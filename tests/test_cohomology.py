@@ -12,6 +12,7 @@ from nokequal.cohomology import (
     CohClass,
     _frame_row,
     _relation_rows,
+    _term_masks,
     betti,
     cat_witness,
     cup,
@@ -219,6 +220,31 @@ def test_normalize_top_degree_at_n18_under_the_default_recursion_limit():
         assert out.terms
         assert all(classify(t, k).is_basic and classify(t, k).d == n // k for t in out.terms)
     assert sys.getrecursionlimit() == limit
+
+
+def monotone_violations(c, k):
+    """Blocks j at which a basic term T of NF(c) breaks one of
+    (a) max J_j(T) <= max J_j(c), (b) min J_j(T) <= min J_j(c),
+    (c) the elements below block j in T lie below block j in c."""
+    n = c.n
+    source = _term_masks(c, k, n)
+    bad = []
+    for t in normalize(c, k).terms:
+        for j, ((i_c, j_c, _), (i_t, j_t, _)) in enumerate(zip(source, _term_masks(t, k, n))):
+            if (j_t.bit_length() > j_c.bit_length() or (j_t & -j_t) > (j_c & -j_c)
+                    or i_t & ~i_c):
+                bad.append((str(c), str(t), j))
+    return bad
+
+
+@pytest.mark.parametrize("k,n,sample", [(3, 7, None), (4, 8, None), (3, 8, 2500), (4, 9, 2500)])
+def test_normal_form_terms_are_monotone_in_their_source(k, n, sample):
+    # Evidence for a lemma that would let the TC certificate prune patterns
+    # by blocks; no production code relies on it.
+    sources = list(enumerate_admissible(k, n, 2))
+    if sample is not None:
+        sources = random.Random(100 * k + n).sample(sources, sample)
+    assert [v for c in sources for v in monotone_violations(c, k)] == []
 
 
 def rewrite_measure(p, k):

@@ -105,8 +105,7 @@ def test_report_odd_sphere_case_passes():
 
 
 def test_report_records_a_vanished_witness_as_fail(monkeypatch):
-    monkeypatch.setattr(tensor, "witness_product",
-                        lambda k, n, i, s: tensor.TensorClass.zero(k, n, s))
+    monkeypatch.setattr(tensor, "_witness_coefficient", lambda k, n, i, s, term: 0)
     r = invariant_report(3, 7, 2)
     zcl = next(c for c in r.certificates if c.name == "zcl_lower")
     assert (zcl.value, zcl.status) == (None, "fail")

@@ -434,7 +434,7 @@ def oracle_cases(seed, count):
         yield path, constraint, rng.choice((2, 3, 8, 9, 64, 255, 256))
 
 
-def test_screened_sampling_matches_the_counter_oracle():
+def test_sampled_and_exact_validation_match_their_oracles():
     checked = rejected = 0
     for path, constraint, samples in oracle_cases(2026, 2000):
         want = sampled_validate_path(path, constraint, samples)

@@ -18,6 +18,8 @@ from nokequal.preorder import classify, discrete, enumerate_basic, parse_preorde
 from nokequal.tensor import (
     TensorClass,
     _exhaustive_zcl,
+    _structured_factors,
+    _witness_coefficient,
     expected_witness_term,
     multiplication_image,
     p_witness,
@@ -159,6 +161,66 @@ def test_expected_witness_term_rejects_an_index_below_1(i):
     # an empty product would close to the unit pair, which certifies nothing
     with pytest.raises(ParameterOutOfRange):
         expected_witness_term(3, 7, i)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_witness_coefficient_matches_the_full_expansion(k):
+    # 1 on every term of witness_product, 0 on seeded s-tuples of its slot
+    # entries that are not terms; the designated term is a term.
+    rng = random.Random(k)
+    negatives = 0
+    for s in (2, 3, 4):
+        for n in range(k + 1, 4 * k + 1):
+            i = n // k
+            w = witness_product(k, n, i, s)
+            term = expected_witness_term(k, n, i, s)
+            assert len(term) == s and term in w.terms, (k, n, s)
+            for t in w.terms:
+                assert _witness_coefficient(k, n, i, s, t) == 1, (k, n, s, t)
+            pool = sorted({p for t in w.terms for p in t}, key=lambda p: p.sort_key())
+            for _ in range(10):
+                t = tuple(rng.choice(pool) for _ in range(s))
+                if t not in w.terms:
+                    negatives += 1
+                    assert _witness_coefficient(k, n, i, s, t) == 0, (k, n, s, t)
+    assert negatives >= 100
+
+
+def test_witness_coefficient_checks_that_the_pairs_vanish(monkeypatch):
+    # a pair x_a x_{a+1} that closed to a nonzero product would let a double
+    # put both its factors in one slot, outside the summed patterns
+    monkeypatch.setattr(tensor, "_close", lambda n, masks: (((1 << n) - 1, False),))
+    with pytest.raises(CertificateFailure, match="does not vanish"):
+        zcl_lower(3, 7, 2)
+
+
+def test_witness_coefficient_checks_that_the_singles_are_forced():
+    # with i < floor(n/k) a single routed to slot s need not vanish
+    term = expected_witness_term(3, 7, 1, 3)
+    with pytest.raises(CertificateFailure, match="not forced"):
+        _witness_coefficient(3, 7, 1, 3, term)
+    assert _witness_coefficient(3, 7, 2, 3, expected_witness_term(3, 7, 2, 3)) == 1
+
+
+@pytest.mark.parametrize("k,n,s", [(3, 7, 2), (3, 7, 3), (4, 9, 3), (3, 6, 4), (5, 11, 2)])
+def test_zcl_lower_multiplies_no_tensor_product_above_n_equals_k(monkeypatch, k, n, s):
+    # outside s = 2, k < n <= 2k (the exhaustive search) the bound comes
+    # from the designated coefficient alone, and every structured divisor
+    # is still built, so each one's kernel check runs
+    built = []
+    real = tensor.zero_divisor
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    def refuse(a, b):
+        raise AssertionError("zcl_lower formed a tensor product")
+
+    monkeypatch.setattr(tensor, "zero_divisor", counting)
+    monkeypatch.setattr(tensor, "tensor_cup", refuse)
+    assert zcl_lower(k, n, s) == s * (n // k)
+    assert sorted(built) == sorted((k, n, m, q, s) for m, q in _structured_factors(k, n // k, s))
 
 
 def test_p_witness_values():
