@@ -28,7 +28,6 @@ from .planner import (
     in_conf_k,
     inverse_reduce,
     plan_conf3_3,
-    pullback_rule,
     reduce_to_xn,
     validate_path,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "InvariantReport", "betti_closed_form", "cat_formula", "hdim_formula",
     "invariant_report", "tc_formula", "tcs_formula", "verify_range",
     "Path", "SimplicialComplex", "in_conf_complex", "in_conf_k",
-    "inverse_reduce", "plan_conf3_3", "pullback_rule", "reduce_to_xn",
+    "inverse_reduce", "plan_conf3_3", "reduce_to_xn",
     "validate_path",
     "StringPreorder", "classify", "compose", "discrete",
     "enumerate_admissible", "enumerate_basic", "make_preorder", "make_x",

@@ -53,10 +53,6 @@ class DimensionMismatch(InputError):
     """Configuration length does not match the constraint's vertex count."""
 
 
-class BaseRuleUndefined(InputError):
-    """The supplied base motion-planning rule is undefined at its input."""
-
-
 class CertificateFailure(NoKEqualError):
     """A certified bound's own check failed: its witness vanished or two
     independent derivations of the bound disagree."""

@@ -4,6 +4,8 @@ a double collision, and a path validator.
 
 A configuration is in a space iff each class of equal coordinates is
 allowed: fewer than k members in Conf_k(R,n), a face of K in Conf_K(R,n).
+K is stored by its facets, so a class of two or more indices is a face iff
+its bitmask is a subset of some facet's; a single index always is one.
 _class_rule builds that rule once; membership, the planner and both modes
 of validate_path apply it. The exact segment test (_exit_time) decides
 every point of a segment over the rationals; the sampled mode checks float
@@ -18,12 +20,8 @@ from itertools import chain, combinations
 from math import inf, isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import (
-    BaseRuleUndefined,
-    DimensionMismatch,
-    NotInSpace,
-    ParameterOutOfRange,
-)
+from .errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
+from .preorder import mask_of
 
 Configuration = Sequence[float]
 
@@ -43,44 +41,42 @@ def in_conf_k(x: Configuration, k: int) -> bool:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed family of subsets of {1..n} containing all singletons."""
+    """A simplicial complex K on the vertices 1..n, stored by its facets as
+    bitmasks, vertex v at bit v - 1 (preorder.mask_of). A set of two or more
+    vertices is a face iff its mask is a subset of some facet; the empty set
+    and every singleton are faces. So K is downward closed and holds every
+    singleton by construction, and no face besides a facet is ever listed."""
 
     n: int
-    faces: frozenset[frozenset[int]]
+    facets: tuple[int, ...]
 
     def __post_init__(self):
-        verts = set(range(1, self.n + 1))
-        for f in self.faces:
-            if not f <= verts:
-                raise ParameterOutOfRange(f"face {sorted(f)} outside 1..{self.n}")
-        for v in verts:
-            if frozenset([v]) not in self.faces:
-                raise ParameterOutOfRange(f"missing singleton {{{v}}}")
-        for f in self.faces:
-            for v in f:
-                if f - {v} not in self.faces and len(f) > 1:
-                    raise ParameterOutOfRange("faces are not downward closed")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ParameterOutOfRange(f"vertex count {self.n!r:.24} is not an integer >= 0")
+        for f in self.facets:
+            if not (isinstance(f, int) and f >= 0 and f >> self.n == 0):
+                raise ParameterOutOfRange(f"facet mask {f!r:.24} outside 1..{self.n}")
 
     @classmethod
     def from_facets(cls, n: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        faces = {frozenset()}
-        faces.update(frozenset([v]) for v in range(1, n + 1))
-        stack = [frozenset(f) for f in facets]
-        while stack:
-            f = stack.pop()
-            if f in faces:
-                continue
-            faces.add(f)
-            stack.extend(f - {v} for v in f)
-        return cls(n, frozenset(faces))
+        """The complex whose faces are the subsets of the given facets, each
+        a collection of integer vertices in 1..n; linear in the input."""
+        masks = []
+        for f in facets:
+            f = list(f)
+            for v in f:
+                if not (isinstance(v, int) and 1 <= v <= n):
+                    raise ParameterOutOfRange(f"vertex {v!r:.24} outside 1..{n}")
+            masks.append(mask_of(f))
+        return cls(n, tuple(masks))
 
     @classmethod
     def skeleton(cls, n: int, dim: int) -> "SimplicialComplex":
-        """The dim-skeleton of the full simplex: faces of size <= dim + 1."""
-        faces = [frozenset(c)
-                 for size in range(0, dim + 2)
-                 for c in combinations(range(1, n + 1), size)]
-        return cls(n, frozenset(faces))
+        """The dim-skeleton of the full simplex: faces of size <= dim + 1,
+        whose facets are the C(n, dim + 1) sets of that size."""
+        if n < 0 or dim < 0:
+            raise ParameterOutOfRange(f"skeleton({n}, {dim}) needs n >= 0 and dim >= 0")
+        return cls.from_facets(n, combinations(range(1, n + 1), min(dim + 1, n)))
 
 
 def _class_rule(constraint: Union[int, SimplicialComplex],
@@ -92,8 +88,14 @@ def _class_rule(constraint: Union[int, SimplicialComplex],
     if isinstance(constraint, SimplicialComplex):
         if dim != constraint.n:
             raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
-        faces = constraint.faces
-        return lambda c: len(c) < 2 or frozenset(c) in faces
+        facets = constraint.facets
+
+        def allowed(c: list[int]) -> bool:
+            if len(c) < 2:
+                return True
+            m = mask_of(c)
+            return any(m & f == m for f in facets)
+        return allowed
     if constraint < 2:
         raise ParameterOutOfRange("k must be >= 2")
     return lambda c: len(c) < constraint
@@ -160,22 +162,6 @@ class Path:
     @property
     def pieces(self) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
         return list(zip(self.points, self.points[1:]))
-
-    def at(self, t: float) -> tuple[float, ...]:
-        """Evaluate at time t in [0,1], equal time per segment."""
-        m = len(self.points) - 1
-        if t <= 0:
-            return self.points[0]
-        if t >= 1:
-            return self.points[-1]
-        scaled = t * m
-        i = min(int(scaled), m - 1)
-        u = scaled - i
-        a, b = self.points[i], self.points[i + 1]
-        return tuple(ai + u * (bi - ai) for ai, bi in zip(a, b))
-
-    def reversed(self) -> "Path":
-        return Path(self.points[::-1])
 
 
 def _exit_time(x: Configuration, y: Configuration,
@@ -309,39 +295,6 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     if t is None:
         return 0, Path.through(x, y)
     return 1, Path.through(x, _detour_waypoint(x, y, t), y)
-
-
-PathRule = Callable[[Configuration, Configuration], Union[Path, Callable[[float], Configuration]]]
-
-
-def pullback_rule(alpha: Callable, beta: Callable, homotopy_H: Callable,
-                  base_rule: PathRule, x: Configuration, y: Configuration,
-                  samples_per_stage: int = 33) -> Path:
-    """Pull a motion-planning rule back along a homotopy equivalence.
-
-    With H a homotopy satisfying H(., 0) = identity and H(., 1) = beta
-    compose alpha, the output runs H(x, 3t) on the first third, the
-    beta-image of the base path between alpha(x) and alpha(y) on the middle
-    third, and H(y, 3(1-t)) backwards on the last third. Stages are sampled
-    into a polyline; the endpoints are snapped to x and y exactly.
-    """
-    if samples_per_stage < 2:
-        raise ParameterOutOfRange("samples_per_stage must be >= 2")
-    ax, ay = alpha(x), alpha(y)
-    base = base_rule(ax, ay)
-    if base is None:
-        raise BaseRuleUndefined(f"base rule undefined at ({ax}, {ay})")
-    base_at = base.at if isinstance(base, Path) else base
-    pts: list[tuple[float, ...]] = [tuple(x)]
-    steps = [i / (samples_per_stage - 1) for i in range(1, samples_per_stage)]
-    for s in steps:
-        pts.append(tuple(homotopy_H(x, s)))
-    for s in steps:
-        pts.append(tuple(beta(base_at(s))))
-    for s in steps[:-1]:
-        pts.append(tuple(homotopy_H(y, 1 - s)))
-    pts.append(tuple(y))
-    return Path(tuple(pts))
 
 
 def _sampled_ok(a: Configuration, b: Configuration, samples: int,

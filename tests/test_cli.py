@@ -149,6 +149,13 @@ def test_check_complex_on_24_points(capsys):
         assert (code, out.strip()) == (0, want)
 
 
+@pytest.mark.parametrize("top,want", [(64, "true"), (63, "false")])
+def test_check_complex_with_a_facet_on_64_vertices(capsys, top, want):
+    K = json.dumps({"n": 64, "facets": [list(range(1, top + 1))]})
+    code, out, _ = run(capsys, "check", "--config", json.dumps([0] * 64), "--complex", K)
+    assert (code, out.strip()) == (0, want)
+
+
 @pytest.mark.parametrize("complex_json", [
     '{"n": "3", "facets": []}',
     '{"n": 3.0, "facets": [[1,2]]}',

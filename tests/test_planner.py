@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -8,12 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nokequal.errors import (
-    BaseRuleUndefined,
-    DimensionMismatch,
-    NotInSpace,
-    ParameterOutOfRange,
-)
+from nokequal.errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
 from nokequal.planner import (
     Path,
     SimplicialComplex,
@@ -22,10 +18,10 @@ from nokequal.planner import (
     in_conf_k,
     inverse_reduce,
     plan_conf3_3,
-    pullback_rule,
     reduce_to_xn,
     validate_path,
 )
+from nokequal.preorder import elems_of
 
 
 def test_in_conf_k():
@@ -35,21 +31,60 @@ def test_in_conf_k():
     assert in_conf_k((1.5, 2.5, 3.5), 2)
 
 
+def face_set(K):
+    """Every face of K as a frozenset: the empty face, every singleton, and
+    the closure of K's facets under removing one vertex at a time. The
+    membership oracle, independent of the facet-mask subset test."""
+    faces = {frozenset()}
+    faces.update(frozenset([v]) for v in range(1, K.n + 1))
+    stack = [frozenset(elems_of(f)) for f in K.facets]
+    while stack:
+        f = stack.pop()
+        if f in faces:
+            continue
+        faces.add(f)
+        stack.extend(f - {v} for v in f)
+    return faces
+
+
 def test_complex_downward_closure_from_facets():
     K = SimplicialComplex.from_facets(4, [[1, 2, 3]])
-    assert frozenset([1, 2]) in K.faces
-    assert frozenset([4]) in K.faces
-    assert frozenset([1, 2, 3, 4]) not in K.faces
+    faces = face_set(K)
+    assert frozenset([1, 2]) in faces
+    assert frozenset([4]) in faces
+    assert frozenset([1, 2, 3, 4]) not in faces
+    assert in_conf_complex((0, 0, 1, 2), K)
+    assert in_conf_complex((0, 0, 0, 2), K)
+    assert not in_conf_complex((0, 0, 1, 0), K)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SimplicialComplex.from_facets(3, [[1, 0]]),
+    lambda: SimplicialComplex.from_facets(3, [[4]]),
+    lambda: SimplicialComplex.from_facets(3, [[1.5]]),
+    lambda: SimplicialComplex.from_facets(3, [["a"]]),
+    lambda: SimplicialComplex.from_facets(3, [[2], [-1]]),
+    lambda: SimplicialComplex.skeleton(3, -1),
+    lambda: SimplicialComplex.skeleton(-1, 1),
+    lambda: SimplicialComplex(-1, ()),
+    lambda: SimplicialComplex(3, (0b1000,)),
+    lambda: SimplicialComplex(3, (-1,)),
+], ids=["vertex 0", "vertex 4", "vertex 1.5", "vertex 'a'", "vertex -1",
+        "skeleton dim -1", "skeleton n -1", "n -1", "mask beyond n", "negative mask"])
+def test_complex_input_is_checked_at_the_boundary(build):
+    with pytest.raises(ParameterOutOfRange):
+        build()
 
 
 def minimal_nonfaces(K):
     """Inclusion-minimal subsets of {1..n} that are not faces of K, by a
     scan of all 2^n subsets: the collision patterns of Conf_K(R, n)."""
+    faces = face_set(K)
     out = []
     for size in range(1, K.n + 1):
         for c in combinations(range(1, K.n + 1), size):
             s = frozenset(c)
-            if s not in K.faces and all(s - {v} in K.faces for v in s):
+            if s not in faces and all(s - {v} in faces for v in s):
                 out.append(s)
     return out
 
@@ -149,8 +184,6 @@ def test_path_invariants():
     p = Path.through((0, 0, 1), (1, 1, 0), (2, 2, 2))
     assert p.start == (0, 0, 1) and p.end == (2, 2, 2)
     assert len(p.pieces) == 2
-    assert p.at(0.5) == (1, 1, 0)
-    assert p.reversed().points == p.points[::-1]
 
 
 def test_plan_direct_segment():
@@ -495,7 +528,8 @@ def pattern_exit_time(x, y, constraint):
 
 def allowed_class(constraint):
     if isinstance(constraint, SimplicialComplex):
-        return lambda c: frozenset(c) in constraint.faces
+        faces = face_set(constraint)
+        return lambda c: frozenset(c) in faces
     return lambda c: len(c) < constraint
 
 
@@ -503,6 +537,35 @@ def _random_complex(rng, n):
     facets = [rng.sample(range(1, n + 1), rng.randint(1, n))
               for _ in range(rng.randint(0, 4))]
     return SimplicialComplex.from_facets(n, facets)
+
+
+def test_complex_membership_matches_the_face_set_oracle():
+    rng = random.Random(17)
+    complexes = [*ORACLE_COMPLEXES,
+                 *(_random_complex(rng, rng.randint(1, 8)) for _ in range(200))]
+    rejected = 0
+    for K in complexes:
+        faces = face_set(K)
+        for _ in range(20):
+            x = tuple(rng.randint(0, 2) for _ in range(K.n))
+            classes = {}
+            for i, v in enumerate(x, 1):
+                classes.setdefault(v, set()).add(i)
+            want = all(frozenset(c) in faces for c in classes.values())
+            assert in_conf_complex(x, K) == want, (K, x)
+            rejected += not want
+    # the stream must exercise both verdicts
+    assert 0.2 < rejected / (20 * len(complexes)) < 0.8
+
+
+def test_a_full_facet_on_64_vertices_is_cheap():
+    t0 = time.perf_counter()
+    K = SimplicialComplex.from_facets(64, [range(1, 65)])
+    assert in_conf_complex((0,) * 64, K)
+    L = SimplicialComplex.from_facets(64, [range(1, 64)])
+    assert not in_conf_complex((0,) * 64, L)
+    assert in_conf_complex((0,) * 63 + (1,), L)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def _exit_coordinate(rng, kind):
@@ -599,41 +662,3 @@ def test_validate_with_a_complex_on_24_points():
     crossing = Path.through(x, (2, 1, 0) + x[3:])
     assert validate_path(crossing, K)
     assert not validate_path(crossing, K, strict=True)
-
-
-def test_pullback_identity_instantiation():
-    ident = lambda z: z
-    const_h = lambda z, s: z
-    base = lambda a, b: plan_conf3_3(a, b)[1]
-    path = pullback_rule(ident, ident, const_h, base, (0, 1, 2), (2, 1, 0))
-    assert path.start == (0, 1, 2) and path.end == (2, 1, 0)
-    assert validate_path(path, 3)
-
-
-def test_pullback_base_rule_undefined():
-    with pytest.raises(BaseRuleUndefined):
-        pullback_rule(lambda z: z, lambda z: z, lambda z, s: z,
-                      lambda a, b: None, (0, 1, 2), (2, 1, 0))
-
-
-def test_pullback_through_reduction():
-    """Plan on 3 points by reducing scale and offset to canonical values."""
-
-    def alpha(z):
-        d, _, _ = reduce_to_xn(z)
-        return d
-
-    beta = lambda d: d
-
-    def homotopy(z, s):
-        d, scale, offset = reduce_to_xn(z)
-        return inverse_reduce(d, scale + s * (1 - scale), offset * (1 - s))
-
-    base = lambda a, b: plan_conf3_3(a, b)[1]
-    rng = random.Random(11)
-    for _ in range(50):
-        x = tuple(rng.uniform(-3, 3) for _ in range(3))
-        y = tuple(rng.uniform(-3, 3) for _ in range(3))
-        path = pullback_rule(alpha, beta, homotopy, base, x, y)
-        assert path.start == x and path.end == y
-        assert validate_path(path, 3, samples=64)
