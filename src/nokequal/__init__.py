@@ -4,6 +4,7 @@ certified topological-complexity bounds, and a geometric motion planner."""
 from .cohomology import (
     CohClass,
     betti,
+    clear_caches,
     cup,
     cup_length,
     monomial_closure,
@@ -54,7 +55,7 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohClass", "betti", "cup", "cup_length",
+    "CohClass", "betti", "clear_caches", "cup", "cup_length",
     "monomial_closure", "normalize", "oracle_normal_form",
     "CertificateFailure", "InputError", "NoKEqualError", "TooLarge",
     "InvariantReport", "betti_closed_form", "cat_formula", "hdim_formula",

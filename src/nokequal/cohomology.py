@@ -9,7 +9,6 @@ admissible (every Full block of size k-1) or zero.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
@@ -22,7 +21,9 @@ from .errors import (
     TooLarge,
 )
 from .preorder import (
+    Record,
     StringPreorder,
+    _set,
     _block_parts,
     _factor_masks,
     admissible_blocks,
@@ -42,16 +43,16 @@ from .preorder import (
 DEFAULT_ORACLE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(Record):
     """GF(2) linear combination of basic preorders; 3 <= k <= n <= 64."""
 
-    k: int
-    n: int
-    terms: frozenset[StringPreorder]
+    __slots__ = ("k", "n", "terms")
 
-    def __post_init__(self):
-        check_ring(self.k, self.n)
+    def __init__(self, k: int, n: int, terms: frozenset[StringPreorder]):
+        check_ring(k, n)
+        _set(self, "k", k)
+        _set(self, "n", n)
+        _set(self, "terms", terms)
 
     @classmethod
     def zero(cls, k: int, n: int) -> "CohClass":
@@ -152,6 +153,12 @@ def _close(n: int, masks: list[tuple[int, int, int]]) -> tuple | None:
 # The ring's one cache, keyed by (k, level tuple): a preorder's levels
 # (LevelSet is a NamedTuple) and a closure's plain tuple share an entry.
 _nf_memo: dict[tuple[int, tuple], frozenset] = {}
+
+
+def clear_caches() -> None:
+    """Empty the ring's one cache, the normal-form memo; results do not
+    change, later calls only rebuild the entries they need."""
+    _nf_memo.clear()
 
 
 def normalize(p: StringPreorder, k: int) -> CohClass:
@@ -312,18 +319,20 @@ def cat_witness(k: int, n: int) -> StringPreorder:
 # Independent Gaussian-elimination oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OracleNormalForm:
+class OracleNormalForm(Record, frozen=False):
     """Quotient of the admissible span by all relation rows in one degree."""
 
-    k: int
-    n: int
-    d: int
-    basis: list[StringPreorder]
-    normal_form: dict[StringPreorder, frozenset[StringPreorder]]
-    rank: int
-    consistent: bool
-    issues: list[str] = field(default_factory=list)
+    __slots__ = ("k", "n", "d", "basis", "normal_form", "rank", "consistent", "issues")
+
+    def __init__(self, k: int, n: int, d: int, basis: list[StringPreorder],
+                 normal_form: dict[StringPreorder, frozenset[StringPreorder]],
+                 rank: int, consistent: bool, issues: list[str] | None = None):
+        self.k, self.n, self.d = k, n, d
+        self.basis = basis
+        self.normal_form = normal_form
+        self.rank = rank
+        self.consistent = consistent
+        self.issues = [] if issues is None else issues
 
 
 def _oracle_cap() -> int:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional
 
 from .cohomology import betti, cup_length
 from .errors import CertificateFailure, ParameterOutOfRange, RangeViolation
-from .preorder import check_domain
+from .preorder import Record, check_domain
 from .tensor import zcl_lower
 
 SPHERE_NOTE = "upper bound from sphere S^{{k-2}}; zcl certificate = {v} only"
@@ -61,12 +60,14 @@ def betti_closed_form(k: int, n: int) -> int:
     return sum(comb(n, i) * comb(i - 1, k - 1) for i in range(k, n + 1))
 
 
-@dataclass
-class Certificate:
-    name: str
-    value: Optional[int]
-    status: str  # pass | fail | skipped
-    note: str = ""
+class Certificate(Record, frozen=False):
+    __slots__ = ("name", "value", "status", "note")
+
+    def __init__(self, name: str, value: Optional[int], status: str, note: str = ""):
+        self.name = name
+        self.value = value
+        self.status = status  # pass | fail | skipped
+        self.note = note
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "value": self.value, "status": self.status}
@@ -75,17 +76,15 @@ class Certificate:
         return out
 
 
-@dataclass
-class InvariantReport:
-    k: int
-    n: int
-    s: int
-    cat: int
-    hdim: int
-    tc: int
-    tcs: int
-    betti_list: list[int]
-    certificates: list[Certificate] = field(default_factory=list)
+class InvariantReport(Record, frozen=False):
+    __slots__ = ("k", "n", "s", "cat", "hdim", "tc", "tcs", "betti_list", "certificates")
+
+    def __init__(self, k: int, n: int, s: int, cat: int, hdim: int, tc: int, tcs: int,
+                 betti_list: list[int], certificates: Optional[list[Certificate]] = None):
+        self.k, self.n, self.s = k, n, s
+        self.cat, self.hdim, self.tc, self.tcs = cat, hdim, tc, tcs
+        self.betti_list = betti_list
+        self.certificates = [] if certificates is None else certificates
 
     @property
     def all_agree(self) -> bool:

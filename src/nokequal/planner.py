@@ -14,14 +14,13 @@ points only."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import inf, isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
-from .preorder import mask_of
+from .preorder import Record, _set, mask_of
 
 Configuration = Sequence[float]
 
@@ -39,23 +38,23 @@ def in_conf_k(x: Configuration, k: int) -> bool:
     return all(map(_class_rule(k, len(x)), _classes(x)))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """A simplicial complex K on the vertices 1..n, stored by its facets as
     bitmasks, vertex v at bit v - 1 (preorder.mask_of). A set of two or more
     vertices is a face iff its mask is a subset of some facet; the empty set
     and every singleton are faces. So K is downward closed and holds every
     singleton by construction, and no face besides a facet is ever listed."""
 
-    n: int
-    facets: tuple[int, ...]
+    __slots__ = ("n", "facets")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ParameterOutOfRange(f"vertex count {self.n!r:.24} is not an integer >= 0")
-        for f in self.facets:
-            if not (isinstance(f, int) and f >= 0 and f >> self.n == 0):
-                raise ParameterOutOfRange(f"facet mask {f!r:.24} outside 1..{self.n}")
+    def __init__(self, n: int, facets: tuple[int, ...]):
+        if not isinstance(n, int) or n < 0:
+            raise ParameterOutOfRange(f"vertex count {n!r:.24} is not an integer >= 0")
+        for f in facets:
+            if not (isinstance(f, int) and f >= 0 and f >> n == 0):
+                raise ParameterOutOfRange(f"facet mask {f!r:.24} outside 1..{n}")
+        _set(self, "n", n)
+        _set(self, "facets", facets)
 
     @classmethod
     def from_facets(cls, n: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -134,18 +133,18 @@ def inverse_reduce(direction: Sequence[float], scale: float, offset: float) -> t
     return tuple(d * scale + offset for d in direction)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """Piecewise-linear path given by its breakpoints."""
 
-    points: tuple[tuple[float, ...], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if len(self.points) < 2:
+    def __init__(self, points: tuple[tuple[float, ...], ...]):
+        if len(points) < 2:
             raise ParameterOutOfRange("a path needs at least 2 breakpoints")
-        dims = {len(p) for p in self.points}
+        dims = {len(p) for p in points}
         if len(dims) != 1:
             raise DimensionMismatch("breakpoints of mixed dimension")
+        _set(self, "points", points)
 
     @classmethod
     def through(cls, *points: Configuration) -> "Path":

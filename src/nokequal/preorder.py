@@ -10,9 +10,9 @@ caps the ambient size at 64.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -60,27 +60,85 @@ def _level(mask: int, full: bool) -> LevelSet:
     return LevelSet(mask, full and mask.bit_count() > 1)
 
 
-@dataclass(frozen=True)
-class StringPreorder:
-    """Immutable string preorder on {1..n}."""
+_set = object.__setattr__
 
-    n: int
-    levels: tuple[LevelSet, ...]
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ParameterOutOfRange(f"ambient size {self.n} not in 1..{MAX_N}")
+class Record:
+    """Base of the package's value records. A subclass lists its fields
+    in __slots__ in constructor order (a leading underscore marks a private
+    slot) and sets them in its own __init__, with _set when frozen. Records
+    compare, hash, print and pickle by their public fields, as dataclasses
+    do. They are frozen unless declared with frozen=False; a mutable record
+    is unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        key = attrgetter(*cls._fields)
+        # _key always gives a tuple, so the hash is that of the field tuple
+        cls._key = key if len(cls._fields) > 1 else staticmethod(lambda r: (key(r),))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StringPreorder(Record):
+    """Immutable string preorder on {1..n}: levels is a tuple of (mask,
+    full) pairs, as make_preorder builds them (LevelSet is a NamedTuple)."""
+
+    __slots__ = ("n", "levels", "_hash")
+
+    def __init__(self, n: int, levels: tuple[LevelSet, ...]):
+        if not isinstance(n, int) or not 1 <= n <= MAX_N:
+            raise ParameterOutOfRange(f"ambient size {n!r:.24} not in 1..{MAX_N}")
         seen = 0
-        for lv in self.levels:
-            if lv.mask == 0:
-                raise NotAPartition("empty level set")
-            if lv.full and lv.mask.bit_count() == 1:
-                raise NotAPartition("singleton level must be Empty")
-            if seen & lv.mask:
-                raise NotAPartition("repeated element across levels")
-            seen |= lv.mask
-        if seen != (1 << self.n) - 1:
-            raise NotAPartition(f"levels do not cover 1..{self.n}")
+        try:
+            for mask, full in levels:
+                if mask == 0:
+                    raise NotAPartition("empty level set")
+                if full and mask.bit_count() == 1:
+                    raise NotAPartition("singleton level must be Empty")
+                if seen & mask:
+                    raise NotAPartition("repeated element across levels")
+                seen |= mask
+            # hashed once: preorders key every frozenset and memo of the ring
+            h = hash((n, levels))
+        except (TypeError, ValueError, AttributeError):
+            # a level that is no pair, a mask that is no int, or an unhashable level
+            raise NotAPartition(
+                f"levels {levels!r:.40} are not a tuple of (int mask, full) pairs") from None
+        if seen != (1 << n) - 1:
+            raise NotAPartition(f"levels do not cover 1..{n}")
+        _set(self, "n", n)
+        _set(self, "levels", levels)
+        _set(self, "_hash", h)
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self) -> str:
         parts = []
@@ -151,26 +209,26 @@ def parse_preorder(text: str, n: int | None = None) -> StringPreorder:
     return make_preorder(n, levels)
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(Record):
     """Reflexive transitive relation on {1..n}; row i is the bitmask of
     successors of element i+1 (0-based rows)."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if len(rows) != n:
             raise AmbientMismatch("row count differs from n")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if not row >> i & 1:
                 raise NotAPartition(f"relation not reflexive at {i + 1}")
-        for i in range(self.n):
-            acc = self.rows[i]
-            for j in elems_of(self.rows[i]):
-                acc |= self.rows[j - 1]
-            if acc != self.rows[i]:
+        for i in range(n):
+            acc = rows[i]
+            for j in elems_of(rows[i]):
+                acc |= rows[j - 1]
+            if acc != rows[i]:
                 raise NotAPartition(f"relation not transitive at {i + 1}")
+        _set(self, "n", n)
+        _set(self, "rows", rows)
 
 
 def transitive_closure(n: int, rows: Sequence[int]) -> tuple[int, ...]:
@@ -297,13 +355,15 @@ def is_basic_block(j_mask: int, i_mask: int) -> bool:
     return i_mask.bit_length() > j_mask.bit_length()
 
 
-@dataclass(frozen=True)
-class PreorderClass:
+class PreorderClass(Record):
     """Classification of a string preorder for a collision parameter k."""
 
-    kind: str  # 'basic' | 'admissible' | 'non_admissible'
-    d: int | None
-    k: int
+    __slots__ = ("kind", "d", "k")
+
+    def __init__(self, kind: str, d: int | None, k: int):
+        _set(self, "kind", kind)  # 'basic' | 'admissible' | 'non_admissible'
+        _set(self, "d", d)
+        _set(self, "k", k)
 
     @property
     def is_admissible(self) -> bool:

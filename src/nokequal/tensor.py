@@ -7,7 +7,6 @@ topological complexity and its higher analogues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from typing import Iterable
 
@@ -26,25 +25,33 @@ from .errors import (
     NotAdmissible,
     ParameterOutOfRange,
 )
-from .preorder import StringPreorder, check_domain, check_ring, discrete, make_x
+from .preorder import (
+    Record,
+    StringPreorder,
+    _set,
+    check_domain,
+    check_ring,
+    discrete,
+    make_x,
+)
 
 TENSOR_SIGN = "⊗"
 
 
-@dataclass(frozen=True)
-class TensorClass:
+class TensorClass(Record):
     """GF(2) linear combination of s-tuples of basic preorders; 3 <= k <= n <= 64."""
 
-    k: int
-    n: int
-    s: int
-    terms: frozenset[tuple[StringPreorder, ...]]
+    __slots__ = ("k", "n", "s", "terms")
 
-    def __post_init__(self):
-        check_ring(self.k, self.n)
-        for t in self.terms:
-            if len(t) != self.s:
-                raise AmbientMismatch(f"term of length {len(t)} in power {self.s}")
+    def __init__(self, k: int, n: int, s: int, terms: frozenset[tuple[StringPreorder, ...]]):
+        check_ring(k, n)
+        for t in terms:
+            if len(t) != s:
+                raise AmbientMismatch(f"term of length {len(t)} in power {s}")
+        _set(self, "k", k)
+        _set(self, "n", n)
+        _set(self, "s", s)
+        _set(self, "terms", terms)
 
     @classmethod
     def zero(cls, k: int, n: int, s: int) -> "TensorClass":

@@ -15,6 +15,7 @@ from nokequal.cohomology import (
     _term_masks,
     betti,
     cat_witness,
+    clear_caches,
     cup,
     cup_length,
     monomial_closure,
@@ -53,6 +54,7 @@ from nokequal.preorder import (
     to_string_form,
     transitive_closure,
 )
+from nokequal.tensor import zcl_lower
 
 
 def nf_x(m, k, n, primed=False):
@@ -484,19 +486,30 @@ def test_a_refused_normalize_leaves_the_memo_unchanged(monkeypatch):
     assert cohomology._nf_memo == {}
 
 
+def test_clear_caches_empties_the_memo_and_keeps_the_results(monkeypatch):
+    monkeypatch.setattr(cohomology, "_nf_memo", {})
+    p = make_x(6, 3, 7)
+    nf, zcl = normalize(p, 3), zcl_lower(3, 7)
+    assert cohomology._nf_memo
+    clear_caches()
+    assert cohomology._nf_memo == {}
+    assert normalize(p, 3) == nf and zcl_lower(3, 7) == zcl
+    assert cohomology._nf_memo
+
+
 def test_a_repeated_cup_builds_no_preorder(monkeypatch):
     # The memo is keyed by level tuples, so a product already in it is
     # answered without building a StringPreorder.
     a, b = nf_x(1, 3, 7), nf_x(4, 3, 7) + nf_x(5, 3, 7)
     first = cup(a, b)
     built = []
-    real = StringPreorder.__post_init__
+    real = StringPreorder.__init__
 
-    def counting(self):
-        built.append(self)
-        real(self)
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
 
-    monkeypatch.setattr(StringPreorder, "__post_init__", counting)
+    monkeypatch.setattr(StringPreorder, "__init__", counting)
     assert cup(a, b) == first
     assert built == []
 

@@ -1,13 +1,18 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import nokequal
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nokequal").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "nokequal").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -57,3 +62,16 @@ def test_no_functools_cache(path):
              or isinstance(node, ast.ImportFrom) and node.module == "functools"
              and any(a.name in CACHE_DECORATORS for a in node.names)]
     assert not found, f"{path.name}: functools cache at lines {found}"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every CLI call pays for the import; the value classes are slotted
+    # records, so neither module (nor what inspect pulls in) is loaded
+    probe = ("import json, sys; before = set(sys.modules); import nokequal; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = json.loads(out)
+    assert "nokequal.preorder" in added
+    assert not {"dataclasses", "inspect"} & set(added)

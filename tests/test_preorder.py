@@ -11,6 +11,7 @@ from nokequal.errors import (
 )
 from nokequal.preorder import (
     RelationMatrix,
+    StringPreorder,
     _assemble,
     _factor_masks,
     _ksubsets,
@@ -58,6 +59,37 @@ def test_singleton_full_block_normalized_to_empty():
     # a one-element level is both full and empty; the empty form is canonical
     p = make_preorder(3, [((1 << 0), True), (0b110, False)])
     assert str(p) == "(1)(2,3)"
+
+
+def test_a_plain_pair_level_equals_a_level_set():
+    p = StringPreorder(3, ((0b001, False), (0b110, True)))
+    q = make_preorder(3, [(0b001, False), (0b110, True)])
+    assert p == q and hash(p) == hash(q) and str(p) == "(1)[2,3]"
+
+
+@pytest.mark.parametrize("n, levels, error", [
+    (3.0, ((7, False),), ParameterOutOfRange),
+    ("3", ((7, False),), ParameterOutOfRange),
+    (None, ((7, False),), ParameterOutOfRange),
+    (0, (), ParameterOutOfRange),
+    (65, (((1 << 65) - 1, False),), ParameterOutOfRange),
+    (3, (7,), NotAPartition),
+    (3, ((7,),), NotAPartition),
+    (3, ((7, False, 0),), NotAPartition),
+    (3, ((7.0, False),), NotAPartition),
+    (3, ((7.0, True),), NotAPartition),
+    (3, (("7", True),), NotAPartition),
+    (3, 7, NotAPartition),
+    (3, [(7, False)], NotAPartition),
+    (3, ([7, False],), NotAPartition),
+    (3, ((0, False), (7, False)), NotAPartition),
+    (3, ((1, True), (6, False)), NotAPartition),
+    (3, ((3, False), (6, False)), NotAPartition),
+    (3, ((3, False),), NotAPartition),
+])
+def test_preorder_constructor_checks_its_inputs(n, levels, error):
+    with pytest.raises(error):
+        StringPreorder(n, levels)
 
 
 def test_discrete_is_single_empty_level():
