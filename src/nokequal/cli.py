@@ -3,14 +3,17 @@
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 infeasible
 computation. The oracle feasibility cap can be raised or lowered through
 the NOKEQUAL_MAX_ORACLE_DIM environment variable.
+
+json is imported only by the two functions that parse or print JSON,
+_load_json and _cmd_plan, so that the other commands (betti, normalize,
+cup, witness, zcl, oracle and a text table) load neither json nor
+fractions.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from .cohomology import CohClass, betti, cup, normalize, oracle_normal_form
 from .errors import DimensionMismatch, MalformedSyntax, NoKEqualError, NotInSpace, TooLarge
@@ -51,6 +54,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _load_json(text: str, what: str):
+    import json
+
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to read
@@ -113,7 +118,8 @@ def _cmd_table(args) -> int:
 
 
 def _num(v):
-    return float(v) if isinstance(v, Fraction) else v
+    # a detour waypoint of int coordinates is a Fraction; JSON has no such type
+    return v if isinstance(v, (int, float)) else float(v)
 
 
 def _coordinates(values: list) -> tuple:
@@ -128,6 +134,8 @@ def _coordinates(values: list) -> tuple:
 
 
 def _cmd_plan(args) -> int:
+    import json
+
     pair = _load_json(args.pair, "pair")
     if (not isinstance(pair, list) or len(pair) != 2
             or not all(isinstance(p, list) for p in pair)):

@@ -3,19 +3,20 @@
 Closed forms come from the structure theory; the computational modules
 supply lower bounds with certificates (nonzero witness products). Reports
 record both and never pretend a computation established an upper bound.
+
+json, csv and io are imported inside reports_to_json and reports_to_csv,
+the only functions that use them: every CLI call imports this module, and
+at module top json and csv took about a third of `import nokequal`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from math import comb
 from typing import Iterable, Optional
 
 from .cohomology import betti, cup_length
 from .errors import CertificateFailure, ParameterOutOfRange, RangeViolation
-from .preorder import Record, check_domain
+from .preorder import Record, check_domain, check_ints, check_s
 from .tensor import zcl_lower
 
 SPHERE_NOTE = "upper bound from sphere S^{{k-2}}; zcl certificate = {v} only"
@@ -34,8 +35,7 @@ def tc_formula(k: int, n: int) -> int:
 
 def tcs_formula(k: int, n: int, s: int) -> int:
     """Higher (sequential) topological complexity TC_s."""
-    if s < 2:
-        raise ParameterOutOfRange("s must be >= 2")
+    check_s(s)
     check_domain(k, n)
     if n < k:
         return 0
@@ -53,6 +53,8 @@ def hdim_formula(k: int, n: int) -> int:
 def betti_closed_form(k: int, n: int) -> int:
     """Rank of the top (degree-one) cohomology for k < n < 2k:
     sum_{i=k}^n C(n,i) C(i-1,k-1)."""
+    if type(k) is not int or type(n) is not int:
+        check_ints(k=k, n=n)
     if not 3 <= k:
         raise ParameterOutOfRange("k must be >= 3")
     if not k < n < 2 * k:
@@ -162,6 +164,8 @@ def verify_range(k_range: Iterable[int], n_range: Iterable[int],
 
 
 def reports_to_json(reports: list[InvariantReport]) -> str:
+    import json
+
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
@@ -171,6 +175,9 @@ CSV_FIELDS = ["k", "n", "s", "cat", "hdim", "tc", "tcs", "betti",
 
 def reports_to_csv(reports: list[InvariantReport]) -> str:
     """Flatten to one row per certificate."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()

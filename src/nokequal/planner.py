@@ -9,18 +9,22 @@ its bitmask is a subset of some facet's; a single index always is one.
 _class_rule builds that rule once; membership, the planner and both modes
 of validate_path apply it. The exact segment test (_exit_time) decides
 every point of a segment over the rationals; the sampled mode checks float
-points only."""
+points only.
+
+fractions (which loads decimal and numbers) is imported inside
+_detour_waypoint, the one function that builds a Fraction, and runs only
+for a segment that crosses the diagonal: at module top it took about a
+fifth of `import nokequal`, which every CLI call pays for."""
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from itertools import chain, combinations
-from math import inf, isfinite, lcm, sqrt
+from math import isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
-from .preorder import Record, _set, mask_of
+from .preorder import Record, _set, check_ints, mask_of
 
 Configuration = Sequence[float]
 
@@ -164,9 +168,10 @@ class Path(Record):
 
 
 def _exit_time(x: Configuration, y: Configuration,
-               ok: Callable[[list[int]], bool]) -> Optional[Fraction]:
+               ok: Callable[[list[int]], bool]) -> Optional[tuple[int, int]]:
     """First time t in [0,1] at which a class of equal coordinates of
-    (1 - t) x + t y, a list of 1-based indices, is not ok; None if none is.
+    (1 - t) x + t y, a list of 1-based indices, is not ok, as a pair (a, b)
+    with t = a/b and b > 0; None if none is.
 
     ok must be downward closed, as both constraints are (fewer than k
     members; a face of K). Each pair i < j meets at one time a/b, never, or
@@ -182,14 +187,16 @@ def _exit_time(x: Configuration, y: Configuration,
     common denominator den once; at t = a/b coordinate l is
     (x_l (b - a) + y_l a) / (den b). The answer does not depend on scale:
     the boundary between the planner's domains is measure zero, where a
-    tolerance would decide it by scale.
+    tolerance would decide it by scale. A coordinate that is not a number,
+    inf or NaN raises NotInSpace.
     """
     n = len(x)
-    try:
-        ratios = [v.as_integer_ratio() for v in (*x, *y)]
-    except (OverflowError, ValueError):  # inf or NaN
-        v = next(v for v in (*x, *y) if v != v or v in (inf, -inf))
-        raise NotInSpace(f"coordinate {v!r} is not a finite real") from None
+    ratios = []
+    for v in (*x, *y):
+        try:
+            ratios.append(v.as_integer_ratio())
+        except (AttributeError, OverflowError, ValueError):  # not a number, inf or NaN
+            raise NotInSpace(f"coordinate {v!r} is not a finite real") from None
     den = lcm(*[q for _, q in ratios])
     nums = [p * (den // q) for p, q in ratios]
     xs, ys = nums[:n], nums[n:]
@@ -214,7 +221,7 @@ def _exit_time(x: Configuration, y: Configuration,
             if not ok([l + 1 for l in range(n)
                        if l == i or l == j or xs[l] * c + ys[l] * a == v]):
                 best = (a, b)
-    return Fraction(*best) if best else None
+    return best
 
 
 def _cross(u: Sequence[float], v: Sequence[float]) -> tuple:
@@ -223,10 +230,9 @@ def _cross(u: Sequence[float], v: Sequence[float]) -> tuple:
             u[0] * v[1] - u[1] * v[0])
 
 
-def _crossing_and_normal(x: Configuration, y: Configuration,
-                         t: Fraction) -> tuple[list, tuple]:
-    """The point p = (1 - t) x + t y where [x, y] crosses the diagonal, and
-    u = cross(y - x, (1,1,1))."""
+def _crossing_and_normal(x: Configuration, y: Configuration, t) -> tuple[list, tuple]:
+    """The point p = (1 - t) x + t y where [x, y] crosses the diagonal at
+    the Fraction t, and u = cross(y - x, (1,1,1))."""
     s = 1 - t
     return ([s * xi + t * yi for xi, yi in zip(x, y)],
             _cross([yi - xi for xi, yi in zip(x, y)], (1, 1, 1)))
@@ -237,9 +243,10 @@ def _crossing_and_normal(x: Configuration, y: Configuration,
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _detour_waypoint(x: Configuration, y: Configuration, t: Fraction) -> tuple:
+def _detour_waypoint(x: Configuration, y: Configuration, at: tuple[int, int]) -> tuple:
     """The waypoint of the detour around the diagonal, which the segment
-    [x, y] crosses at time t.
+    [x, y] crosses at time t = a/b, given as the pair at = (a, b) that
+    _exit_time returns.
 
     A waypoint w gives a clear detour if it is off the plane through the
     diagonal and x (the plane holds y too): each detour segment then has
@@ -262,6 +269,9 @@ def _detour_waypoint(x: Configuration, y: Configuration, t: Fraction) -> tuple:
     small multiple of u would not do: scaled down far enough to keep
     p + u in range, it may round to zero.
     """
+    from fractions import Fraction
+
+    t = Fraction(*at)
     w = tuple(pi + ui for pi, ui in zip(*_crossing_and_normal(x, y, t)))
     if all(-_FLOAT_MAX <= wi <= _FLOAT_MAX for wi in w):
         return w
@@ -345,6 +355,8 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     evaluated in floats (see _sampled_ok); it can miss a crossing between
     samples and can see one that only rounding makes.
     """
+    if type(samples) is not int:
+        check_ints(samples=samples)
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
     ok = _class_rule(constraint, len(path.start))

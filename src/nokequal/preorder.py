@@ -445,15 +445,40 @@ def check_ring(k: int, n: int) -> None:
         raise ParameterOutOfRange(f"need 3 <= k <= n <= {MAX_N}, got k={k}, n={n}")
 
 
+def check_ints(**params) -> None:
+    """Raise ParameterOutOfRange unless every value is an int; a float or a
+    bool is not one. The public entry points check their parameters once,
+    at the boundary; check_ring, which the per-term constructors run, does
+    not. Building the keyword dict costs several times what the range
+    checks do, so callers test `type(v) is int` first and call this only
+    when that fails (an int subclass other than bool then passes here)."""
+    for name, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParameterOutOfRange(f"{name} must be an integer, got {v!r:.24}")
+
+
+def check_s(s: int) -> None:
+    """Raise ParameterOutOfRange unless s is an integer >= 2."""
+    if type(s) is not int:
+        check_ints(s=s)
+    if s < 2:
+        raise ParameterOutOfRange("s must be >= 2")
+
+
 def check_domain(k: int, n: int) -> None:
-    """Raise ParameterOutOfRange unless k >= 3 and n >= 1, the domain of the
-    closed forms and of the certified bounds (n < k included)."""
+    """Raise ParameterOutOfRange unless k >= 3 and n >= 1 are integers, the
+    domain of the closed forms and of the certified bounds (n < k included)."""
+    if type(k) is not int or type(n) is not int:
+        check_ints(k=k, n=n)
     if k < 3 or n < 1:
         raise ParameterOutOfRange(f"need k >= 3 and n >= 1, got k={k}, n={n}")
 
 
 def check_degree_params(k: int, n: int, d: int) -> None:
-    """Raise ParameterOutOfRange unless 3 <= k <= n <= MAX_N and d >= 0."""
+    """Raise ParameterOutOfRange unless k, n and d are integers with
+    3 <= k <= n <= MAX_N and d >= 0."""
+    if type(k) is not int or type(n) is not int or type(d) is not int:
+        check_ints(k=k, n=n, d=d)
     check_ring(k, n)
     if d < 0:
         raise ParameterOutOfRange("d must be non-negative")

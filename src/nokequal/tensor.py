@@ -30,7 +30,9 @@ from .preorder import (
     StringPreorder,
     _set,
     check_domain,
+    check_ints,
     check_ring,
+    check_s,
     discrete,
     make_x,
 )
@@ -192,6 +194,8 @@ def witness_product(k: int, n: int, i: int, s: int = 2) -> TensorClass:
     Factors are multiplied left-to-right so that zero terms are pruned as
     early as possible.
     """
+    if type(k) is not int or type(n) is not int or type(i) is not int or type(s) is not int:
+        check_ints(k=k, n=n, i=i, s=s)
     if i < 1 or i * k > n or s < 2:
         raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
     return _chain(k, n, s, _structured_factors(k, i, s))
@@ -224,6 +228,8 @@ def expected_witness_term(k: int, n: int, i: int, s: int = 2) -> tuple[StringPre
     """The designated tensor basis element of the structured witness product:
     m_0 = prod x_{(j-1)k+1} in slots 1..s-2, then m_0⊗m_1 with
     m_1 = prod x_{(j-1)k+2} when ik < n, else p_{i,1}⊗p_{i,2}."""
+    if type(k) is not int or type(n) is not int or type(i) is not int or type(s) is not int:
+        check_ints(k=k, n=n, i=i, s=s)
     if i < 1 or i * k > n or s < 2:
         raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
 
@@ -360,8 +366,7 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     runs to the end and reports its true maximum, which then fails the
     comparison. CertificateFailure is raised when any of these checks fails.
     """
-    if s < 2:
-        raise ParameterOutOfRange("s must be >= 2")
+    check_s(s)
     check_domain(k, n)
     if n < k:
         return 0

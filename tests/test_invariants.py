@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nokequal import tensor
-from nokequal.cohomology import betti
+from nokequal.cohomology import betti, cup_length, oracle_normal_form
 from nokequal.errors import ParameterOutOfRange, RangeViolation
 from nokequal.invariants import (
     betti_closed_form,
@@ -66,6 +66,41 @@ def test_formula_parameter_guards():
         cat_formula(2, 5)
     with pytest.raises(ParameterOutOfRange):
         tcs_formula(3, 5, 1)
+
+
+NON_INTEGER_CALLS = [
+    (cat_formula, (3, 7.5)),
+    (cat_formula, (3.0, 7)),
+    (hdim_formula, (3, True)),
+    (tc_formula, (3.0, 6)),
+    (tcs_formula, (3, 6, 2.5)),
+    (tcs_formula, (3, 6, True)),
+    (tcs_formula, (True, 6, 2)),
+    (betti_closed_form, (3, 4.0)),
+    (betti, (3.0, 6, 1)),
+    (betti, (3, 6, 1.0)),
+    (betti, (3, 6, False)),
+    (betti, ("3", 6, 1)),
+    (cup_length, (3, 6.0)),
+    (oracle_normal_form, (3, 6, 1.0)),
+    (tensor.zcl_lower, (3, 6.0, 2)),
+    (tensor.zcl_lower, (3, 6, 2.0)),
+    (tensor.witness_product, (3, 6, 1.0)),
+    (tensor.witness_product, (3, 6, 1, 2.0)),
+    (tensor.expected_witness_term, (3, 7.0, 2)),
+    (invariant_report, (3, 6, 2.0)),
+    (invariant_report, (3.0, 6)),
+    (verify_range, ([3], [6.0])),
+]
+
+
+@pytest.mark.parametrize("func,args", NON_INTEGER_CALLS,
+                         ids=[f"{f.__name__}{args}" for f, args in NON_INTEGER_CALLS])
+def test_non_integer_parameters_are_out_of_range(func, args):
+    # a float or a bool is refused at the boundary, before any arithmetic
+    # could accept it (cat_formula(3, 7.5) was 2.0) or fail on it
+    with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+        func(*args)
 
 
 @given(st.integers(3, 6), st.integers(1, 14))

@@ -1,7 +1,6 @@
 """Checks on the package source itself."""
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -64,14 +63,68 @@ def test_no_functools_cache(path):
     assert not found, f"{path.name}: functools cache at lines {found}"
 
 
+def _fresh(statements: str) -> str:
+    """The stdout of a fresh interpreter that runs statements with the
+    package source on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", statements], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _modules_added(statements: str) -> set:
+    """The modules a fresh interpreter adds to sys.modules while it runs
+    statements. The probe prints with repr, so it imports nothing itself."""
+    out = _fresh("import sys; before = set(sys.modules); " + statements
+                 + "; print(repr(sorted(set(sys.modules) - before)))")
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+# loaded only by the calls that need them: JSON and CSV output, JSON input,
+# and a plan that crosses the diagonal (fractions brings decimal and numbers)
+DEFERRED = {"json", "csv", "fractions", "decimal", "numbers"}
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # every CLI call pays for the import; the value classes are slotted
     # records, so neither module (nor what inspect pulls in) is loaded
-    probe = ("import json, sys; before = set(sys.modules); import nokequal; "
-             "print(json.dumps(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    added = json.loads(out)
+    added = _modules_added("import nokequal")
     assert "nokequal.preorder" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    assert not {"dataclasses", "inspect"} & added
+
+
+def test_import_loads_no_json_csv_or_fractions():
+    added = _modules_added("import nokequal")
+    assert "nokequal.planner" in added
+    assert sorted(DEFERRED & added) == []
+
+
+def test_betti_command_loads_no_json_csv_or_fractions():
+    added = _modules_added('from nokequal.cli import main; '
+                           'main(["betti", "--k", "3", "--n", "6", "--d", "1"])')
+    assert "nokequal.cli" in added
+    assert sorted(DEFERRED & added) == []
+
+
+def test_deferred_imports_give_the_same_first_outputs():
+    # the first call of each route that imports a deferred module, in a
+    # fresh process; the expected outputs are those of module-top imports
+    out = _fresh("import hashlib\n"
+                 "from nokequal import plan_conf3_3, verify_range\n"
+                 "from nokequal.invariants import reports_to_csv, reports_to_json\n"
+                 "reports = verify_range([3], [3, 4])\n"
+                 "print(hashlib.sha256(reports_to_json(reports).encode()).hexdigest())\n"
+                 "print(repr(reports_to_csv(reports)))\n"
+                 "print(repr(plan_conf3_3((0, 1, 2), (2, 1, 0))))\n")
+    digest, csv_text, plan = out.splitlines()
+    assert digest == "633bf3cf807285234a8714b70d07097d8ff783459e4917efc8bd2cef2ed7230e"
+    assert ast.literal_eval(csv_text) == (
+        "k,n,s,cat,hdim,tc,tcs,betti,certificate,value,status,note\n"
+        "3,3,2,1,1,1,1,1 1,cat_lower,1,pass,\n"
+        "3,3,2,1,1,1,1,1 1,zcl_lower,1,pass,"
+        "upper bound from sphere S^{k-2}; zcl certificate = 1 only\n"
+        "3,3,2,1,1,1,1,1 1,betti_rank,,skipped,closed form valid only for k < n < 2k\n"
+        "3,4,2,1,1,2,2,1 7,cat_lower,1,pass,\n"
+        "3,4,2,1,1,2,2,1 7,zcl_lower,2,pass,\n"
+        "3,4,2,1,1,2,2,1 7,betti_rank,7,pass,\n")
+    assert plan == ("(1, Path(points=((0, 1, 2), (Fraction(3, 1), Fraction(-3, 1), "
+                    "Fraction(3, 1)), (2, 1, 0))))")

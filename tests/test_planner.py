@@ -234,6 +234,26 @@ def test_plan_rejects_non_finite_coordinates():
         plan_conf3_3((0, 1, 2), (float("nan"), 1, 0))
 
 
+@pytest.mark.parametrize("x,y", [
+    (("a", "b", "c"), (1, 2, 3)),
+    ((0, 1, 2), (2, 1j, 0)),
+    ((0, 1, 2), (2, None, 0)),
+])
+def test_non_numeric_coordinates_are_not_in_space(x, y):
+    with pytest.raises(NotInSpace):
+        plan_conf3_3(x, y)
+    with pytest.raises(NotInSpace):
+        validate_path(Path.through(x, y), 3, strict=True)
+
+
+@pytest.mark.parametrize("samples", [2.5, 256.0, True, "256", None])
+def test_non_integer_samples_are_out_of_range(samples):
+    seg = Path.through((0, 1, 2), (5, 6, 7))
+    for strict in (False, True):
+        with pytest.raises(ParameterOutOfRange):
+            validate_path(seg, 3, samples=samples, strict=strict)
+
+
 _dyadic = st.builds(lambda n, m: n / 2 ** m,
                     st.integers(-2 ** 20, 2 ** 20), st.integers(0, 20))
 _coord = _dyadic | st.floats(-8, 8).filter(lambda v: v == 0 or abs(v) > 1e-6)
@@ -514,6 +534,12 @@ def fraction_collision_time(x, y, idxs):
     return t if 0 <= t <= 1 else None
 
 
+def exit_time(x, y, ok):
+    """_exit_time's pair (a, b) as the Fraction a/b, or None."""
+    at = _exit_time(x, y, ok)
+    return None if at is None else Fraction(*at)
+
+
 def pattern_exit_time(x, y, constraint):
     """The first time some collision pattern, a k-subset of the indices or a
     minimal non-face of K, is all equal on the segment [x, y]: the minimum
@@ -620,7 +646,7 @@ def test_collision_time_matches_the_fraction_solve():
     bad = interior = 0
     for x, y, constraint in cases:
         want = pattern_exit_time(x, y, constraint)
-        assert _exit_time(x, y, allowed_class(constraint)) == want, \
+        assert exit_time(x, y, allowed_class(constraint)) == want, \
             (x, y, constraint)
         bad += want is not None
         interior += want is not None and 0 < want < 1
@@ -642,7 +668,7 @@ def test_collision_time_matches_the_fraction_solve():
     ((2, 2, 2), (2, 2, 2), 3, Fraction(0)),
 ])
 def test_exit_time_examples(x, y, k, want):
-    assert _exit_time(x, y, lambda c: len(c) < k) == want
+    assert exit_time(x, y, lambda c: len(c) < k) == want
     assert pattern_exit_time(x, y, k) == want
 
 
