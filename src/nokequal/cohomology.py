@@ -23,21 +23,21 @@ from .errors import (
 from .preorder import (
     Record,
     StringPreorder,
+    _assemble,
     _set,
     _block_parts,
     _factor_masks,
+    _x_masks,
     admissible_blocks,
     check_degree_params,
     check_domain,
+    check_ints,
     check_ring,
-    classify,
     count_admissible,
-    discrete,
     elems_of,
     enumerate_admissible,
     is_basic_block,
     make_preorder,
-    make_x,
 )
 
 DEFAULT_ORACLE_CAP = 100_000
@@ -64,7 +64,11 @@ class CohClass(Record):
 
     @classmethod
     def unit(cls, k: int, n: int) -> "CohClass":
-        return cls(k, n, frozenset([discrete(n)]))
+        """The class of the discrete preorder (1..n), the memo's basic term."""
+        if type(k) is not int or type(n) is not int:
+            check_ints(k=k, n=n)
+        check_ring(k, n)
+        return cls(k, n, _nf(k, n, (((1 << n) - 1, False),)))
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if (self.k, self.n) != (other.k, other.n):
@@ -89,34 +93,41 @@ def monomial_closure(factors: Sequence[StringPreorder], k: int, n: int):
 
     Returns the admissible closure (one Full block per factor), or None when
     the product is zero. Checks the ring (ParameterOutOfRange) and each
-    factor (AmbientMismatch, NotElementary), takes its masks as _term_masks
-    does, and closes them with _close, as the product path of cup does.
+    factor (AmbientMismatch, NotElementary), takes its masks from the
+    factor's own factorization, and closes them with _close, as the product
+    path of cup does.
     """
     check_ring(k, n)
     masks = []
     for f in factors:
         if f.n != n:
             raise AmbientMismatch("factor has wrong ambient size")
-        blocks = admissible_blocks(f.levels, k)
-        if blocks is None or len(blocks) != 1:
+        factored = f._factored()
+        if factored is None or factored[0] != k - 1 or len(factored[1]) != 1:
             raise NotElementary(f"{f} is not elementary for k={k}")
-        masks += _factor_masks(n, blocks)
+        masks += factored[1]
     levels = _close(n, masks)
     return None if levels is None else make_preorder(n, levels)
 
 
-def witness_closure(factors: Sequence[StringPreorder], k: int, n: int) -> StringPreorder:
-    """Closure of a witness monomial, checked to be a basic preorder (a
-    basis element, hence a nonzero class); CertificateFailure otherwise."""
-    mono = monomial_closure(factors, k, n)
-    if mono is None or not classify(mono, k).is_basic:
+def witness_closure(masks: Sequence[tuple[int, int, int]], k: int, n: int) -> StringPreorder:
+    """Closure of a witness monomial, given by the (I, J, K) masks of its
+    factors (_x_masks), checked to be a basic preorder (a basis element,
+    hence a nonzero class); CertificateFailure otherwise. The preorder is
+    the normal-form memo's one for that closure, built on its first use."""
+    levels = _close(n, masks)
+    blocks = None if levels is None else admissible_blocks(levels, k)
+    if blocks is None or not all(is_basic_block(j, i) for j, i in blocks):
+        factors = "*".join(str(_assemble(n, [(i, False), (j, True), (c, False)]))
+                           for i, j, c in masks)
+        mono = None if levels is None else make_preorder(n, levels)
         raise CertificateFailure(
-            f"witness monomial {'*'.join(map(str, factors))} closes to {mono}, "
-            "not a basic preorder")
+            f"witness monomial {factors} closes to {mono}, not a basic preorder")
+    (mono,) = _nf(k, n, levels)
     return mono
 
 
-def _close(n: int, masks: list[tuple[int, int, int]]) -> tuple | None:
+def _close(n: int, masks: Sequence[tuple[int, int, int]]) -> tuple | None:
     """Level tuple ((mask, full), ...) of the closure of the elementary
     factors with masks (I_f, J_f, K_f), empty holes dropped, or None when
     the product is zero; no preorder is built, as the tuple keys _nf's memo.
@@ -157,7 +168,11 @@ _nf_memo: dict[tuple[int, tuple], frozenset] = {}
 
 def clear_caches() -> None:
     """Empty the ring's one cache, the normal-form memo; results do not
-    change, later calls only rebuild the entries they need."""
+    change, later calls only rebuild the entries they need. The memo also
+    supplies every basic preorder the ring hands out: the unit, the
+    generators' normal forms and the witness monomials. Generators are
+    (I, J, K) masks until then, and each preorder keeps its own
+    factorization (StringPreorder._factored), which is part of no cache."""
     _nf_memo.clear()
 
 
@@ -185,8 +200,7 @@ def normalize(p: StringPreorder, k: int) -> CohClass:
     finitely many values, so every chain of rewrites ends.
     """
     check_ring(k, p.n)
-    if admissible_blocks(p.levels, k) is None:
-        raise NotAdmissible(f"{p} is not admissible for k={k}")
+    _term_masks(p, k, p.n)
     return CohClass(k, p.n, _nf(k, p.n, p.levels))
 
 
@@ -242,18 +256,20 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
     return CohClass(k, n, frozenset(acc))
 
 
-def _term_masks(p: StringPreorder, k: int, n: int) -> list[tuple[int, int, int]]:
+def _term_masks(p: StringPreorder, k: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """Masks of the elementary factors of a term of a class in ring (k, n),
-    one per block: the list's length is the term's degree."""
+    one per block: the tuple's length is the term's degree. The term
+    factors itself once (StringPreorder._factored); here only its ambient
+    size and its block size are checked."""
     if p.n != n:
         raise AmbientMismatch("term has wrong ambient size")
-    blocks = admissible_blocks(p.levels, k)
-    if blocks is None:
+    factored = p._factored()
+    if factored is None or factored[0] != k - 1 and factored[1]:
         raise NotAdmissible(f"{p} is not admissible for k={k}")
-    return _factor_masks(n, blocks)
+    return factored[1]
 
 
-def _product(k: int, n: int, masks: list[tuple[int, int, int]]) -> frozenset:
+def _product(k: int, n: int, masks: Sequence[tuple[int, int, int]]) -> frozenset:
     """Basic terms of the product of the elementary factors with these masks."""
     levels = _close(n, masks)
     return frozenset() if levels is None else _nf(k, n, levels)
@@ -312,7 +328,7 @@ def cat_witness(k: int, n: int) -> StringPreorder:
     q = n // k
     if q == 0:
         raise ParameterOutOfRange(f"n={n} < k={k}: no positive-degree witness")
-    return witness_closure([make_x(j * k + 1, k, n) for j in range(q)], k, n)
+    return witness_closure([_x_masks(j * k + 1, k, n) for j in range(q)], k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,22 @@ def _classes(x: Configuration) -> Iterable[list[int]]:
     return classes.values()
 
 
+def _check_coordinates(x: Configuration) -> None:
+    """Raise NotInSpace unless every coordinate is a real number: an int or
+    a float, or a value with as_integer_ratio, such as a Fraction."""
+    for v in x:
+        if type(v) is not float and type(v) is not int:
+            try:
+                v.as_integer_ratio()
+            except (AttributeError, OverflowError, TypeError, ValueError):
+                raise NotInSpace(f"coordinate {v!r:.24} is not a finite real") from None
+
+
 def in_conf_k(x: Configuration, k: int) -> bool:
     """True iff every class of equal coordinates has fewer than k members."""
-    return all(map(_class_rule(k, len(x)), _classes(x)))
+    rule = _class_rule(k, len(x))
+    _check_coordinates(x)
+    return all(map(rule, _classes(x)))
 
 
 class SimplicialComplex(Record):
@@ -99,6 +112,8 @@ def _class_rule(constraint: Union[int, SimplicialComplex],
             m = mask_of(c)
             return any(m & f == m for f in facets)
         return allowed
+    if type(constraint) is not int:
+        check_ints(k=constraint)
     if constraint < 2:
         raise ParameterOutOfRange("k must be >= 2")
     return lambda c: len(c) < constraint
@@ -106,7 +121,9 @@ def _class_rule(constraint: Union[int, SimplicialComplex],
 
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
     """True iff every class of two or more equal coordinates is a face of K."""
-    return all(map(_class_rule(K, len(x)), _classes(x)))
+    rule = _class_rule(K, len(x))
+    _check_coordinates(x)
+    return all(map(rule, _classes(x)))
 
 
 def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
@@ -297,6 +314,8 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     """
     if len(x) != 3 or len(y) != 3:
         raise DimensionMismatch("planner works on 3 coordinates")
+    _check_coordinates(x)
+    _check_coordinates(y)
     ok = _class_rule(3, 3)
     if not all(map(ok, chain(_classes(x), _classes(y)))):
         raise NotInSpace("endpoint has a triple collision")
@@ -353,13 +372,17 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     path is decided and `samples` is not used. Sampled mode checks
     `samples` uniform points per segment, endpoints included, each
     evaluated in floats (see _sampled_ok); it can miss a crossing between
-    samples and can see one that only rounding makes.
+    samples and can see one that only rounding makes. A coordinate that is
+    not a real number raises NotInSpace in both modes.
     """
     if type(samples) is not int:
         check_ints(samples=samples)
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
     ok = _class_rule(constraint, len(path.start))
+    if not strict:  # in strict mode _exit_time checks every coordinate
+        for point in path.points:
+            _check_coordinates(point)
     for a, b in path.pieces:
         if strict:
             if _exit_time(a, b, ok) is not None:

@@ -108,9 +108,11 @@ class Record:
 
 class StringPreorder(Record):
     """Immutable string preorder on {1..n}: levels is a tuple of (mask,
-    full) pairs, as make_preorder builds them (LevelSet is a NamedTuple)."""
+    full) pairs, as make_preorder builds them (LevelSet is a NamedTuple).
+    The private slots, out of ==, hash, repr and pickle, hold the hash and,
+    once _factored has run, the preorder's factorization."""
 
-    __slots__ = ("n", "levels", "_hash")
+    __slots__ = ("n", "levels", "_hash", "_factors")
 
     def __init__(self, n: int, levels: tuple[LevelSet, ...]):
         if not isinstance(n, int) or not 1 <= n <= MAX_N:
@@ -153,6 +155,24 @@ class StringPreorder(Record):
     @property
     def full_blocks(self) -> list[int]:
         return [mask for mask, full in self.levels if full]
+
+    def _factored(self) -> tuple[int | None, tuple[tuple[int, int, int], ...]] | None:
+        """(size, masks): the levels read as (I_0)[J_1](I_1) ... [J_d](I_d)
+        with every Full block of one size, and the (I, J, K) masks of its
+        elementary factors (_factor_masks). So the preorder is admissible
+        exactly for k = size + 1, or for every k when it has no block and
+        size is None; None when no k admits it. Worked out on the first call
+        and kept in the _factors slot, since the ring factors its basic terms
+        again and again."""
+        try:
+            return self._factors
+        except AttributeError:
+            pass
+        size = next((mask.bit_count() for mask, full in self.levels if full), None)
+        blocks = admissible_blocks(self.levels, (size or 0) + 1)
+        factors = None if blocks is None else (size, tuple(_factor_masks(self.n, blocks)))
+        _set(self, "_factors", factors)
+        return factors
 
 
 def make_preorder(n: int, levels: Sequence[tuple[int, bool]]) -> StringPreorder:
@@ -556,22 +576,35 @@ def count_admissible(k: int, n: int, d: int) -> int:
     return count * (d + 1) ** free
 
 
-def make_x(m: int, k: int, n: int, primed: bool = False) -> StringPreorder:
-    """The generators x_m (primed=False) and x'_m (primed=True).
-
-    x_m  = (1..m-1)[m..m+k-2](m+k-1..n)
-    x'_m = (1..m-2,m)[m-1,m+1..m+k-2](m+k-1..n), defined for m >= 2.
-    Empty () regions are suppressed.
-    """
+def _x_masks(m: int, k: int, n: int, primed: bool = False) -> tuple[int, int, int]:
+    """Masks (I, J, K) of the generator x_m, or x'_m when primed, in closed
+    form: I = 1..m-1, J = m..m+k-2 and K = m+k-1..n, and for x'_m the
+    elements m-1 and m trade places between I and J. Checks the ring and
+    the index (ParameterOutOfRange, IndexOutOfRange), not the types."""
     check_ring(k, n)
     if m < 1 or m + k > n + 2:
         raise IndexOutOfRange(f"need 1 <= m and m+k <= n+2, got m={m}, k={k}, n={n}")
     if primed and m < 2:
         raise IndexOutOfRange("x'_m requires m >= 2")
-    prefix = mask_of(range(1, m))
-    bracket = mask_of(range(m, m + k - 1))
-    suffix = mask_of(range(m + k - 1, n + 1))
+    below = (1 << (m - 1)) - 1
+    bracket = ((1 << (k - 1)) - 1) << (m - 1)
+    above = ((1 << n) - 1) ^ below ^ bracket
     if primed:
-        prefix = (prefix & ~(1 << (m - 2))) | (1 << (m - 1))
-        bracket = (bracket & ~(1 << (m - 1))) | (1 << (m - 2))
-    return _assemble(n, [(prefix, False), (bracket, True), (suffix, False)])
+        swap = 3 << (m - 2)
+        below ^= swap
+        bracket ^= swap
+    return below, bracket, above
+
+
+def make_x(m: int, k: int, n: int, primed: bool = False) -> StringPreorder:
+    """The generators x_m (primed=False) and x'_m (primed=True), a new
+    preorder on each call, built from the masks of _x_masks.
+
+    x_m  = (1..m-1)[m..m+k-2](m+k-1..n)
+    x'_m = (1..m-2,m)[m-1,m+1..m+k-2](m+k-1..n), defined for m >= 2.
+    Empty () regions are suppressed.
+    """
+    if type(m) is not int or type(k) is not int or type(n) is not int:
+        check_ints(m=m, k=k, n=n)
+    below, bracket, above = _x_masks(m, k, n, primed)
+    return _assemble(n, [(below, False), (bracket, True), (above, False)])

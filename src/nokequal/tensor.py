@@ -7,7 +7,7 @@ topological complexity and its higher analogues.
 
 from __future__ import annotations
 
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from typing import Iterable
 
 from .cohomology import (
@@ -15,7 +15,6 @@ from .cohomology import (
     _close,
     _product,
     _term_masks,
-    normalize,
     witness_closure,
 )
 from .errors import (
@@ -29,12 +28,11 @@ from .preorder import (
     Record,
     StringPreorder,
     _set,
+    _x_masks,
     check_domain,
     check_ints,
     check_ring,
     check_s,
-    discrete,
-    make_x,
 )
 
 TENSOR_SIGN = "⊗"
@@ -61,7 +59,8 @@ class TensorClass(Record):
 
     @classmethod
     def unit(cls, k: int, n: int, s: int) -> "TensorClass":
-        return cls(k, n, s, frozenset([(discrete(n),) * s]))
+        (one,) = CohClass.unit(k, n).terms
+        return cls(k, n, s, frozenset([(one,) * s]))
 
     @classmethod
     def pure(cls, slots: Iterable[CohClass], k: int, n: int) -> "TensorClass":
@@ -99,13 +98,17 @@ class TensorClass(Record):
 def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
                  primed: bool = False) -> TensorClass:
     """The zero-divisor z_{m,q}: x_m (x'_m when primed) in slot q plus x_m
-    in slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m."""
+    in slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m. Both classes come
+    from the normal-form memo, x_m's by its masks (_x_masks)."""
+    if (type(k) is not int or type(n) is not int or type(m) is not int
+            or type(q) is not int or type(s) is not int):
+        check_ints(k=k, n=n, m=m, q=q, s=s)
     if not 1 <= q <= s - 1:
         raise IndexOutOfRange(f"slot q={q} outside 1..{s - 1}")
     if m + k > n + 2:
         raise IndexOutOfRange(f"m={m} needs m+k <= n+2")
-    # x_{n-k+2} is elementary but not basic; normalize expresses it in the basis
-    x = normalize(make_x(m, k, n, primed), k)
+    # x_{n-k+2} is elementary but not basic; its normal form is a sum
+    x = CohClass(k, n, _product(k, n, [_x_masks(m, k, n, primed)]))
     one = CohClass.unit(k, n)
     first = TensorClass.pure([x if j == q else one for j in range(1, s + 1)], k, n)
     last = TensorClass.pure([x if j == s else one for j in range(1, s + 1)], k, n)
@@ -123,26 +126,25 @@ def y(k: int, n: int, m: int, primed: bool = False) -> TensorClass:
 def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
     """Slotwise cup product (no signs over GF(2)), bilinear over terms.
 
-    Each distinct preorder is factored once per call by _term_masks, which
-    does the checks; its factor count is its slot degree, and a slot product
-    is one _product over two factor lists. Raises NotAdmissible, naming the
-    whole term, when a term holds a non-admissible preorder.
+    Each preorder's factor masks come from _term_masks, which does the
+    checks; their count is its slot degree, and a slot product is one
+    _product over two factor lists. Raises NotAdmissible, naming the whole
+    term, when a term holds a non-admissible preorder.
     """
     if (a.k, a.n, a.s) != (b.k, b.n, b.s):
         raise AmbientMismatch("tensor classes live in different rings")
     k, n, s = a.k, a.n, a.s
     cap = n // k
-    masks: dict[StringPreorder, list[tuple[int, int, int]]] = {}
-    for t in chain(a.terms, b.terms):
-        for p in t:
-            if p not in masks:
-                try:
-                    masks[p] = _term_masks(p, k, n)
-                except NotAdmissible:
-                    raise NotAdmissible(f"term {TENSOR_SIGN.join(map(str, t))} "
-                                        f"is not admissible for k={k}") from None
-    a_masks = [[masks[p] for p in t] for t in a.terms]
-    b_masks = [[masks[p] for p in t] for t in b.terms]
+
+    def slot_masks(t: tuple[StringPreorder, ...]) -> list:
+        try:
+            return [_term_masks(p, k, n) for p in t]
+        except NotAdmissible:
+            raise NotAdmissible(f"term {TENSOR_SIGN.join(map(str, t))} "
+                                f"is not admissible for k={k}") from None
+
+    a_masks = [slot_masks(t) for t in a.terms]
+    b_masks = [slot_masks(t) for t in b.terms]
     acc: set[tuple[StringPreorder, ...]] = set()
     for fa in a_masks:
         for fb in b_masks:
@@ -208,19 +210,22 @@ def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
     x_{(2a-1)k+1}; odd i=2a+1 keeps the full alternating run. Variant 2
     swaps primed and unprimed throughout (x_1 stays unprimed).
     """
+    if (type(i) is not int or type(variant) is not int or type(k) is not int
+            or type(n) is not int):
+        check_ints(i=i, variant=variant, k=k, n=n)
     if variant not in (1, 2):
         raise ParameterOutOfRange("variant must be 1 or 2")
     if i < 2 or i * k != n:
         raise ParameterOutOfRange(f"p witnesses need i >= 2 and ik = n; got i={i}, n={n}")
     swap = variant == 2
-    factors = [make_x(1, k, n)]
+    factors = [_x_masks(1, k, n)]
     a, odd = divmod(i, 2)
     top = a if odd else a - 1
     for j in range(1, top + 1):
-        factors.append(make_x((2 * j - 1) * k + 1, k, n, primed=swap))
-        factors.append(make_x(2 * j * k + 1, k, n, primed=not swap))
+        factors.append(_x_masks((2 * j - 1) * k + 1, k, n, primed=swap))
+        factors.append(_x_masks(2 * j * k + 1, k, n, primed=not swap))
     if not odd:
-        factors.append(make_x((2 * a - 1) * k + 1, k, n, primed=swap))
+        factors.append(_x_masks((2 * a - 1) * k + 1, k, n, primed=swap))
     return CohClass.of(k, n, [witness_closure(factors, k, n)])
 
 
@@ -234,7 +239,7 @@ def expected_witness_term(k: int, n: int, i: int, s: int = 2) -> tuple[StringPre
         raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
 
     def closure(off: int) -> StringPreorder:
-        return witness_closure([make_x((j - 1) * k + off, k, n) for j in range(1, i + 1)],
+        return witness_closure([_x_masks((j - 1) * k + off, k, n) for j in range(1, i + 1)],
                                k, n)
 
     m0 = closure(1)
@@ -267,11 +272,10 @@ def _witness_coefficient(k: int, n: int, i: int, s: int,
     prod_j x_{a_j+eps_j} and slot s prod_j x_{a_j+1-eps_j}; the slot-s
     product is formed only when slot s-1 contains its entry.
     """
-    lo, hi = ([_term_masks(make_x((j - 1) * k + off, k, n), k, n)[0]
-               for j in range(1, i + 1)]
+    lo, hi = ([_x_masks((j - 1) * k + off, k, n) for j in range(1, i + 1)]
               for off in (1, 2))
     for j, pair in enumerate(zip(lo, hi)):
-        if _close(n, list(pair)) is not None:
+        if _close(n, pair) is not None:
             a = j * k + 1
             raise CertificateFailure(f"x_{a} x_{a + 1} does not vanish: a double "
                                      "can put both its factors in one slot")

@@ -21,6 +21,7 @@ from nokequal.cohomology import (
     monomial_closure,
     normalize,
     oracle_normal_form,
+    witness_closure,
 )
 from nokequal.errors import (
     AmbientMismatch,
@@ -39,6 +40,7 @@ from nokequal.preorder import (
     _factor_masks,
     _ksubsets,
     _submasks,
+    _x_masks,
     admissible_blocks,
     classify,
     discrete,
@@ -54,7 +56,7 @@ from nokequal.preorder import (
     to_string_form,
     transitive_closure,
 )
-from nokequal.tensor import zcl_lower
+from nokequal.tensor import expected_witness_term, zcl_lower, zero_divisor
 
 
 def nf_x(m, k, n, primed=False):
@@ -497,11 +499,8 @@ def test_clear_caches_empties_the_memo_and_keeps_the_results(monkeypatch):
     assert cohomology._nf_memo
 
 
-def test_a_repeated_cup_builds_no_preorder(monkeypatch):
-    # The memo is keyed by level tuples, so a product already in it is
-    # answered without building a StringPreorder.
-    a, b = nf_x(1, 3, 7), nf_x(4, 3, 7) + nf_x(5, 3, 7)
-    first = cup(a, b)
+def counting_preorder_builds(monkeypatch):
+    """A list that records every StringPreorder built from now on."""
     built = []
     real = StringPreorder.__init__
 
@@ -510,8 +509,61 @@ def test_a_repeated_cup_builds_no_preorder(monkeypatch):
         real(self, *args)
 
     monkeypatch.setattr(StringPreorder, "__init__", counting)
+    return built
+
+
+def test_a_repeated_cup_builds_no_preorder(monkeypatch):
+    # The memo is keyed by level tuples, so a product already in it is
+    # answered without building a StringPreorder.
+    a, b = nf_x(1, 3, 7), nf_x(4, 3, 7) + nf_x(5, 3, 7)
+    first = cup(a, b)
+    built = counting_preorder_builds(monkeypatch)
     assert cup(a, b) == first
     assert built == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zero_divisor(3, 7, 2, q=1, s=3, primed=True),
+    lambda: zero_divisor(3, 7, 6),  # x_6 is not basic: its normal form is a sum
+    lambda: expected_witness_term(3, 7, 2, 3),
+    lambda: expected_witness_term(3, 9, 3),  # the p witnesses, n = ik
+    lambda: cat_witness(4, 9),
+    lambda: CohClass.unit(3, 7),
+])
+def test_a_repeated_certificate_step_builds_no_preorder(monkeypatch, call):
+    # generators are masks and every basic preorder comes from the memo,
+    # so a call already made is answered without building a StringPreorder
+    first = call()
+    built = counting_preorder_builds(monkeypatch)
+    assert call() == first
+    assert built == []
+
+
+@pytest.mark.parametrize("k, n", [(3, 7), (4, 8)])
+def test_each_term_factors_itself_as_the_blocks_say(k, n):
+    for d in range(3):
+        for p in enumerate_admissible(k, n, d):
+            masks = tuple(_factor_masks(n, admissible_blocks(p.levels, k)))
+            assert _term_masks(p, k, n) == masks
+            assert _term_masks(p, k, n) == masks  # read from the slot
+            for other in range(3, n + 1):
+                if other != k and d:
+                    with pytest.raises(NotAdmissible):
+                        _term_masks(p, other, n)
+                    with pytest.raises(NotAdmissible):
+                        normalize(p, other)
+
+
+def test_witness_closure_refuses_a_closure_that_is_not_basic():
+    # x_6 of (3, 7) is admissible but not basic; x_1 x_2 is zero
+    with pytest.raises(CertificateFailure, match=r"\(1,2,3,4,5\)\[6,7\] closes to"):
+        witness_closure([_x_masks(6, 3, 7)], 3, 7)
+    with pytest.raises(CertificateFailure, match="closes to None"):
+        witness_closure([_x_masks(1, 3, 7), _x_masks(2, 3, 7)], 3, 7)
+    with pytest.raises(CertificateFailure):
+        witness_closure([_x_masks(1, 3, 7), _x_masks(4, 3, 7, primed=True),
+                         _x_masks(5, 3, 7)], 3, 7)
+    assert witness_closure([_x_masks(1, 3, 7), _x_masks(4, 3, 7)], 3, 7) == cat_witness(3, 7)
 
 
 @pytest.mark.parametrize("a, b", [

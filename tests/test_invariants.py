@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nokequal import tensor
+from nokequal import make_x, tensor
 from nokequal.cohomology import betti, cup_length, oracle_normal_form
 from nokequal.errors import ParameterOutOfRange, RangeViolation
 from nokequal.invariants import (
@@ -88,6 +88,15 @@ NON_INTEGER_CALLS = [
     (tensor.witness_product, (3, 6, 1.0)),
     (tensor.witness_product, (3, 6, 1, 2.0)),
     (tensor.expected_witness_term, (3, 7.0, 2)),
+    (make_x, (1.0, 3, 9)),
+    (make_x, (True, 3, 9)),
+    (make_x, (1, 3, 9.0)),
+    (tensor.zero_divisor, (3, 6, 1.0)),
+    (tensor.zero_divisor, (3, 6, True)),
+    (tensor.zero_divisor, (3, 6, 1, 1, 2.0)),
+    (tensor.p_witness, (2.0, 1, 3, 6)),
+    (tensor.p_witness, (2, True, 3, 6)),
+    (tensor.p_witness, (2, 1, 3, 6.0)),
     (invariant_report, (3, 6, 2.0)),
     (invariant_report, (3.0, 6)),
     (verify_range, ([3], [6.0])),

@@ -246,6 +246,35 @@ def test_non_numeric_coordinates_are_not_in_space(x, y):
         validate_path(Path.through(x, y), 3, strict=True)
 
 
+def test_membership_refuses_non_numeric_coordinates_and_a_non_integer_k():
+    with pytest.raises(NotInSpace):
+        in_conf_k(("a", "a", "b"), 3)
+    with pytest.raises(NotInSpace):
+        in_conf_complex(("a", "a", "b"), SimplicialComplex.skeleton(3, 1))
+    with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+        in_conf_k((0, 1, 2), 2.5)
+    with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+        in_conf_k((0, 1, 2), True)
+
+
+def test_sampled_validation_refuses_non_numeric_coordinates():
+    with pytest.raises(NotInSpace):
+        validate_path(Path.through(("a", "b", "c"), (1, 2, 3)), 3)
+    with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+        validate_path(Path.through((0, 1, 2), (1, 2, 3)), 2.5)
+
+
+def test_plan_refuses_an_unhashable_coordinate():
+    with pytest.raises(NotInSpace):
+        plan_conf3_3(([0], 1, 2), (1, 2, 3))
+
+
+def test_exact_coordinates_of_other_types_are_accepted():
+    assert in_conf_k((Fraction(1, 3), Fraction(1, 3), 2), 3)
+    assert validate_path(Path.through((Fraction(1, 3), 0, 1), (2, 0, 1)), 3)
+    assert plan_conf3_3((Fraction(1, 3), 0, 1), (0, 1, 2))[0] in (0, 1)
+
+
 @pytest.mark.parametrize("samples", [2.5, 256.0, True, "256", None])
 def test_non_integer_samples_are_out_of_range(samples):
     seg = Path.through((0, 1, 2), (5, 6, 7))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from nokequal.preorder import (
     _factor_masks,
     _ksubsets,
     _submasks,
+    _x_masks,
     admissible_blocks,
     check_degree_params,
     classify,
@@ -28,6 +32,7 @@ from nokequal.preorder import (
     factor_admissible,
     make_preorder,
     make_x,
+    mask_of,
     parse_preorder,
     to_matrix,
     to_string_form,
@@ -171,6 +176,53 @@ def test_make_x_refuses_a_ring_outside_the_range():
     for k, n in ((0, 0), (2, 5), (4, 3)):
         with pytest.raises(ParameterOutOfRange):
             make_x(1, k, n)
+
+
+def x_masks_by_ranges(m, k, n, primed):
+    """The generator's masks built element by element, as make_x built them
+    before the closed form: the oracle for _x_masks."""
+    prefix = mask_of(range(1, m))
+    bracket = mask_of(range(m, m + k - 1))
+    suffix = mask_of(range(m + k - 1, n + 1))
+    if primed:
+        prefix = (prefix & ~(1 << (m - 2))) | (1 << (m - 1))
+        bracket = (bracket & ~(1 << (m - 1))) | (1 << (m - 2))
+    return prefix, bracket, suffix
+
+
+def test_closed_form_generator_masks_match_the_element_ranges():
+    for n in range(3, 17):
+        for k in range(3, n + 1):
+            for m in range(1, n - k + 3):
+                for primed in (False, True) if m >= 2 else (False,):
+                    masks = x_masks_by_ranges(m, k, n, primed)
+                    assert _x_masks(m, k, n, primed) == masks, (m, k, n, primed)
+                    assert make_x(m, k, n, primed) == _assemble(
+                        n, list(zip(masks, (False, True, False))))
+
+
+def test_the_factorization_stays_out_of_equality_hash_repr_and_pickle():
+    factored, fresh = parse_preorder("(1)[2,3](4)[5,6](7)"), parse_preorder("(1)[2,3](4)[5,6](7)")
+    assert factored._factored() == (2, tuple(_factor_masks(7, admissible_blocks(
+        factored.levels, 3))))
+    assert factored == fresh and hash(factored) == hash(fresh)
+    assert repr(factored) == repr(fresh)
+    assert factored.__reduce__() == fresh.__reduce__()
+    for twin in (pickle.loads(pickle.dumps(factored)), copy.copy(factored)):
+        assert twin == factored
+        with pytest.raises(AttributeError):
+            twin._factors
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(1,2,3,4)", (None, ())),
+    ("(1)(2)(3)", None),
+    ("[1,2][3,4]", (2, ((0, 3, 12), (3, 12, 0)))),
+    ("[1,2](3)[4,5,6]", None),
+    ("[1,2,3](4)", (3, ((0, 7, 8),))),
+])
+def test_the_factorization_reads_the_block_shape(text, expected):
+    assert parse_preorder(text)._factored() == expected
 
 
 def test_enumeration_counts():

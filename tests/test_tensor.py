@@ -230,7 +230,7 @@ def test_p_witness_values():
 
 
 def test_witness_monomial_that_is_not_basic_is_a_certificate_failure(monkeypatch):
-    monkeypatch.setattr(cohomology, "monomial_closure", lambda factors, k, n: None)
+    monkeypatch.setattr(cohomology, "is_basic_block", lambda j_mask, i_mask: False)
     with pytest.raises(CertificateFailure):
         p_witness(2, 1, 3, 6)
     with pytest.raises(CertificateFailure):
