@@ -7,9 +7,22 @@ allowed: fewer than k members in Conf_k(R,n), a face of K in Conf_K(R,n).
 K is stored by its facets, so a class of two or more indices is a face iff
 its bitmask is a subset of some facet's; a single index always is one.
 _class_rule builds that rule once; membership, the planner and both modes
-of validate_path apply it. The exact segment test (_exit_time) decides
-every point of a segment over the rationals; the sampled mode checks float
-points only.
+of validate_path apply it, and each checks every coordinate first
+(_check_coordinates): an int, a finite float, or a finite value with
+as_integer_ratio; anything else, inf and NaN included, raises NotInSpace.
+
+The exact segment test (_exit_time), which the planner and strict
+validation share, decides every point of a segment. When every coordinate
+is a float, a float filter tries first to certify that no class is ever
+not ok: pairs that never meet are found by float comparisons, and a pair
+that meets is shown alone in its class by determinants whose sign
+Shewchuk's orient2d error bound (3 + 16 eps) eps (|eh| + |fg|), eps =
+2^-53, certifies. Anything it cannot certify (a det within the bound, a
+magnitude sum below 2^-900 or beyond the float range, a pair equal all
+along, a meeting pair that is not ok, a coordinate that is not a float)
+goes to the rational route, which is the only one that returns a time.
+So answers do not depend on which route decided. The sampled mode checks
+float points only.
 
 fractions (which loads decimal and numbers) is imported inside
 _detour_waypoint, the one function that builds a Fraction, and runs only
@@ -20,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, combinations
-from math import isfinite, lcm, sqrt
+from math import inf, isfinite, lcm, sqrt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
@@ -38,10 +51,11 @@ def _classes(x: Configuration) -> Iterable[list[int]]:
 
 
 def _check_coordinates(x: Configuration) -> None:
-    """Raise NotInSpace unless every coordinate is a real number: an int or
-    a float, or a value with as_integer_ratio, such as a Fraction."""
+    """Raise NotInSpace unless every coordinate is a finite real number: an
+    int, a finite float, or a value with as_integer_ratio, such as a
+    Fraction (as_integer_ratio raises for inf and NaN)."""
     for v in x:
-        if type(v) is not float and type(v) is not int:
+        if not (type(v) is float and isfinite(v)) and type(v) is not int:
             try:
                 v.as_integer_ratio()
             except (AttributeError, OverflowError, TypeError, ValueError):
@@ -184,11 +198,48 @@ class Path(Record):
         return list(zip(self.points, self.points[1:]))
 
 
+# Shewchuk's orient2d error bound and the magnitude below which a product
+# may have underflowed, which the bound does not count; see _exit_time
+_EPS = 2.0 ** -53
+_DET_BOUND = (3 + 16 * _EPS) * _EPS
+_DET_TINY = 2.0 ** -900
+
+
+def _clear_in_floats(x: Configuration, y: Configuration,
+                     ok: Callable[[list[int]], bool]) -> bool:
+    """True if float arithmetic certifies that no class of equal
+    coordinates of (1 - t) x + t y is ever not ok on [0,1]; False leaves
+    the segment to the exact route, as it does when a coordinate is not a
+    float. The floats must be finite: callers check them first. See
+    _exit_time."""
+    for v in chain(x, y):
+        if type(v) is not float:
+            return False
+    n = len(x)
+    for i in range(n - 1):
+        xi, yi = x[i], y[i]
+        for j in range(i + 1, n):
+            xj, yj = x[j], y[j]
+            if xi < xj and yi < yj or xi > xj and yi > yj:
+                continue  # the pair never meets
+            if not ok([i + 1, j + 1]):
+                return False
+            e, f = xi - xj, yi - yj
+            for l in range(n):
+                if l != i and l != j:
+                    p, q = e * (yi - y[l]), f * (xi - x[l])
+                    s = abs(p) + abs(q)  # inf or NaN if anything overflowed
+                    if not _DET_TINY <= s < inf or abs(p - q) <= _DET_BOUND * s:
+                        return False
+    return True
+
+
 def _exit_time(x: Configuration, y: Configuration,
                ok: Callable[[list[int]], bool]) -> Optional[tuple[int, int]]:
     """First time t in [0,1] at which a class of equal coordinates of
     (1 - t) x + t y, a list of 1-based indices, is not ok, as a pair (a, b)
-    with t = a/b and b > 0; None if none is.
+    with t = a/b and b > 0; None if none is. The coordinates must be
+    finite reals, as _check_coordinates ensures.
 
     ok must be downward closed, as both constraints are (fewer than k
     members; a face of K). Each pair i < j meets at one time a/b, never, or
@@ -199,21 +250,39 @@ def _exit_time(x: Configuration, y: Configuration,
     not ok either: 0 is the first bad time. A pair whose time is not
     earlier than the first bad time found so far is skipped.
 
-    Exact rational arithmetic throughout: every coordinate, a float
-    included, is the rational it denotes, and all 2n are put over one
-    common denominator den once; at t = a/b coordinate l is
-    (x_l (b - a) + y_l a) / (den b). The answer does not depend on scale:
-    the boundary between the planner's domains is measure zero, where a
-    tolerance would decide it by scale. A coordinate that is not a number,
-    inf or NaN raises NotInSpace.
+    A float filter (_clear_in_floats) decides first when every coordinate
+    is a float. A pair i < j never meets on [0,1] iff x_i - x_j and
+    y_i - y_j have the same strict sign, which float comparisons of x_i
+    with x_j and of y_i with y_j decide exactly. A pair that meets at one
+    time has coordinate l in its class then iff det((e, f), (g, h)) = 0,
+    with e = x_i - x_j, f = y_i - y_j, g = x_i - x_l and h = y_i - y_l. The
+    filter certifies each such det nonzero by Shewchuk's orient2d bound
+    ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
+    Geometric Predicates", 1997): computed in floats, differences
+    included, |eh - fg| exceeds (3 + 16 eps) eps (|eh| + |fg|), eps =
+    2^-53. If every meeting pair is ok and alone in its class, no class
+    is ever not ok, and the answer is None. The segment goes on to the
+    exact route when a coordinate is not a float; a meeting pair is not
+    ok (as in Conf_2, or for a complex without that edge); |eh| + |fg| is
+    below 2^-900, where a product may have underflowed and the bound,
+    which counts rounding relative to size, fails; that sum is inf or
+    NaN, from a difference or product beyond the float range; or a det
+    lies within the bound. A pair equal all along has e = f = 0, so its
+    sum is 0 for every l and it goes on too. The filter only ever
+    answers None, and only where the exact route would, so the answer
+    does not depend on which route decided it.
+
+    The exact route uses rational arithmetic throughout: every
+    coordinate, a float included, is the rational it denotes, and all 2n
+    are put over one common denominator den once; at t = a/b coordinate l
+    is (x_l (b - a) + y_l a) / (den b). The answer does not depend on
+    scale: the boundary between the planner's domains is measure zero,
+    where a tolerance would decide it by scale.
     """
+    if _clear_in_floats(x, y, ok):
+        return None
     n = len(x)
-    ratios = []
-    for v in (*x, *y):
-        try:
-            ratios.append(v.as_integer_ratio())
-        except (AttributeError, OverflowError, ValueError):  # not a number, inf or NaN
-            raise NotInSpace(f"coordinate {v!r} is not a finite real") from None
+    ratios = [v.as_integer_ratio() for v in (*x, *y)]
     den = lcm(*[q for _, q in ratios])
     nums = [p * (den // q) for p, q in ratios]
     xs, ys = nums[:n], nums[n:]
@@ -241,18 +310,13 @@ def _exit_time(x: Configuration, y: Configuration,
     return best
 
 
-def _cross(u: Sequence[float], v: Sequence[float]) -> tuple:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _crossing_and_normal(x: Configuration, y: Configuration, t) -> tuple[list, tuple]:
     """The point p = (1 - t) x + t y where [x, y] crosses the diagonal at
-    the Fraction t, and u = cross(y - x, (1,1,1))."""
+    the Fraction t, and u = cross(y - x, (1,1,1)), which for d = y - x is
+    (d_2 - d_3, d_3 - d_1, d_1 - d_2)."""
     s = 1 - t
-    return ([s * xi + t * yi for xi, yi in zip(x, y)],
-            _cross([yi - xi for xi, yi in zip(x, y)], (1, 1, 1)))
+    d1, d2, d3 = (yi - xi for xi, yi in zip(x, y))
+    return [s * xi + t * yi for xi, yi in zip(x, y)], (d2 - d3, d3 - d1, d1 - d2)
 
 
 # exact bound of the float range: int, float and Fraction values compare
@@ -367,22 +431,23 @@ def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
     """Check that a path stays inside the configuration space: every class
     of equal coordinates has fewer than k members, or is a face of K.
 
-    Strict mode is exact: per segment, _exit_time finds over the rationals
-    the first time at which a class is not allowed, so every point of the
-    path is decided and `samples` is not used. Sampled mode checks
+    Strict mode is exact: per segment, _exit_time decides whether a class
+    is ever not allowed (a float filter certifies most clear float
+    segments; the rest are solved over the rationals), so every point of
+    the path is decided and `samples` is not used. Sampled mode checks
     `samples` uniform points per segment, endpoints included, each
     evaluated in floats (see _sampled_ok); it can miss a crossing between
     samples and can see one that only rounding makes. A coordinate that is
-    not a real number raises NotInSpace in both modes.
+    not a finite real number raises NotInSpace in both modes, before any
+    segment is tested.
     """
     if type(samples) is not int:
         check_ints(samples=samples)
     if samples < 2:
         raise ParameterOutOfRange("samples must be >= 2")
     ok = _class_rule(constraint, len(path.start))
-    if not strict:  # in strict mode _exit_time checks every coordinate
-        for point in path.points:
-            _check_coordinates(point)
+    for point in path.points:
+        _check_coordinates(point)
     for a, b in path.pieces:
         if strict:
             if _exit_time(a, b, ok) is not None:

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nokequal import planner
 from nokequal.errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
 from nokequal.planner import (
     Path,
@@ -232,6 +233,26 @@ def test_plan_rejects_non_finite_coordinates():
         plan_conf3_3((0, 1, float("inf")), (2, 1, 0))
     with pytest.raises(NotInSpace):
         plan_conf3_3((0, 1, 2), (float("nan"), 1, 0))
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: in_conf_k((INF, INF, 0), 3),
+    # one NaN object, which a dict of classes would group with itself
+    lambda: in_conf_k((NAN, NAN, NAN), 3),
+    lambda: in_conf_complex((INF, INF, 0), SimplicialComplex.skeleton(3, 1)),
+    lambda: validate_path(Path.through((INF, 1, 2), (0, 1, 2)), 3),
+    # every pair of this segment is apart by float comparison alone
+    lambda: validate_path(Path.through((INF, 1.0, 2.0), (INF, 1.0, 2.0)), 3, strict=True),
+    # checked before the first piece, which crosses the diagonal
+    lambda: validate_path(Path.through((0, 1, 2), (2, 1, 0), (NAN, 1, 2)), 3, strict=True),
+], ids=["inf-pair", "nan-triple", "inf-complex", "sampled-inf", "strict-inf",
+        "strict-nan-after-a-crossing"])
+def test_non_finite_floats_are_not_in_space(call):
+    with pytest.raises(NotInSpace):
+        call()
 
 
 @pytest.mark.parametrize("x,y", [
@@ -695,10 +716,119 @@ def test_collision_time_matches_the_fraction_solve():
     # the triple meets at the far end; a constant collided segment
     ((0, 1, 2), (1, 1, 1), 3, Fraction(1)),
     ((2, 2, 2), (2, 2, 2), 3, Fraction(0)),
+    # the triple meets at t = 1/16, yet the float dets e*h - f*g of its
+    # pairs are 2^18, -2^18 and -2^19: a filter without the error bound
+    # would call this segment clear
+    ((5605588992.125, 20695220224.125, 0.14719581604003906),
+     (-84083834879.875, -310428303359.875, -0.20793724060058594), 3, Fraction(1, 16)),
 ])
 def test_exit_time_examples(x, y, k, want):
     assert exit_time(x, y, lambda c: len(c) < k) == want
     assert pattern_exit_time(x, y, k) == want
+
+
+def _meet(rng, x, y, block, e):
+    """Make the coordinates of block in the float lists x and y meet at a
+    time t = a/2^m: x_l = P - t u_l and y_l = P + (1 - t) u_l, all exact
+    floats, so the block equals P at t. P is about 2^e in size, and each
+    u_l up to 2^25 times larger or smaller, so that float differences of
+    the coordinates round."""
+    m = rng.randint(1, 6)
+    t = Fraction(rng.randint(0, 2 ** m), 2 ** m)
+    # a coordinate is N 2^r - a U 2^(r + d - m) with |N|, |U| <= 2^20 and
+    # |d| <= 25, which takes at most 52 bits between 2^(r - 31) and
+    # 2^(r + 46): a float holds it exactly
+    r = min(max(e - 20, -1043), 972)
+    big_p = Fraction(rng.randint(-2 ** 20, 2 ** 20)) * Fraction(2) ** r
+    for l in block:
+        u = Fraction(rng.randint(-2 ** 20, 2 ** 20)) * Fraction(2) ** (r + rng.randint(-25, 25))
+        x[l], y[l] = float(big_p - t * u), float(big_p + (1 - t) * u)
+        assert x[l] == big_p - t * u and y[l] == big_p + (1 - t) * u
+
+
+def float_segments(seed, count):
+    """A seeded stream of (x, y, constraint, block) on float coordinates:
+    Conf_k for n = 3..8 and k = 2..n, and random complexes. Each segment's
+    coordinates lie near one scale, or each near its own, from the
+    subnormals (2^-1060), through 2^-530, where products of differences
+    underflow, to next to sys.float_info.max (2^1024). In half
+    of them the indices in block meet at one time by construction (_meet);
+    block is () in the others."""
+    rng = random.Random(seed)
+    scales = (-1060, -600, -530, -40, 0, 20, 600, 1024)
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        constraint = (_random_complex(rng, n) if rng.random() < 0.4
+                      else rng.randint(2, n))
+        e = rng.choice(scales)
+        mixed = rng.random() < 0.3
+        x, y = ([math.ldexp(rng.uniform(-1, 1), rng.choice(scales) if mixed else e)
+                 for _ in range(n)] for _ in range(2))
+        block = ()
+        if rng.random() < 0.5:
+            block = tuple(rng.sample(range(n), rng.randint(2, n)))
+            _meet(rng, x, y, block, e)
+        yield tuple(x), tuple(y), constraint, block
+
+
+def test_float_filter_matches_the_exact_route_and_the_fraction_solve(monkeypatch):
+    cases = list(float_segments(23, 1500))
+    rules = [allowed_class(c) for _, _, c, _ in cases]
+    cleared = [planner._clear_in_floats(x, y, ok) for (x, y, _, _), ok in zip(cases, rules)]
+    got = [exit_time(x, y, ok) for (x, y, _, _), ok in zip(cases, rules)]
+    monkeypatch.setattr(planner, "_clear_in_floats", lambda x, y, ok: False)
+    exact = [exit_time(x, y, ok) for (x, y, _, _), ok in zip(cases, rules)]
+    want = [pattern_exit_time(x, y, c) for x, y, c, _ in cases]
+    for case, g, e, w in zip(cases, got, exact, want):
+        assert g == e == w, case
+    # the filter clears only segments without a bad time, and never one
+    # where three or more coordinates meet, whether or not that is allowed
+    assert all(w is None for w, c in zip(want, cleared) if c)
+    assert not any(c for c, (*_, block) in zip(cleared, cases) if len(block) > 2)
+    # the stream must exercise both verdicts and both routes
+    bad = sum(w is not None for w in want)
+    assert 0.2 < bad / len(cases) < 0.8 and 0.1 < sum(cleared) / len(cases) < 0.9
+
+
+def test_the_float_filter_decides_random_pairs_and_declines_crossings(monkeypatch):
+    verdicts = []  # each False sends one segment to the exact route
+    clear = planner._clear_in_floats
+
+    def counted(x, y, ok):
+        verdicts.append(clear(x, y, ok))
+        return verdicts[-1]
+
+    monkeypatch.setattr(planner, "_clear_in_floats", counted)
+    rng = random.Random(29)
+    for _ in range(400):
+        # random pairs in Conf_3(R, 3) at a log-uniform scale, as the plan
+        # benchmark draws them; every one misses the diagonal
+        scale = 10.0 ** rng.uniform(-12, 6)
+        x, y = (tuple(scale * rng.uniform(-1, 1) for _ in range(3)) for _ in range(2))
+        domain, path = plan_conf3_3(x, y)
+        assert domain == 0 and validate_path(path, 3, strict=True)
+    assert verdicts.count(False) == 0 and len(verdicts) == 800
+    crossings = [((0.5, 1.5, 2.5), (2.5, 1.5, 0.5))]
+    for _ in range(200):
+        # y = 2c(1,1,1) - x meets the diagonal at t = 1/2
+        e = rng.randint(-40, 20)
+        x = tuple(math.ldexp(rng.randint(-2 ** 40, 2 ** 40), e) for _ in range(3))
+        c = math.ldexp(rng.randint(-2 ** 40, 2 ** 40), e)
+        crossings.append((x, tuple(2 * c - v for v in x)))
+    for _ in range(200):
+        x, y = [0.0] * 3, [0.0] * 3
+        _meet(rng, x, y, range(3), rng.choice((-1060, -40, 0, 600, 1024)))
+        crossings.append((tuple(x), tuple(y)))
+    planned = 0
+    for x, y in crossings:
+        if not (in_conf_k(x, 3) and in_conf_k(y, 3)):
+            continue
+        verdicts.clear()
+        domain, path = plan_conf3_3(x, y)
+        assert verdicts == [False] and domain == 1
+        assert validate_path(path, 3, strict=True)
+        planned += 1
+    assert planned > 350
 
 
 def test_validate_with_complex_constraint():
