@@ -24,10 +24,15 @@ goes to the rational route, which is the only one that returns a time.
 So answers do not depend on which route decided. The sampled mode checks
 float points only.
 
-fractions (which loads decimal and numbers) is imported inside
-_detour_waypoint, the one function that builds a Fraction, and runs only
-for a segment that crosses the diagonal: at module top it took about a
-fifth of `import nokequal`, which every CLI call pays for."""
+Exact arithmetic is integer arithmetic: the rational route of _exit_time
+and the planner's detour waypoint put every coordinate of a segment over
+one common denominator (_over_common_denominator), and _classes groups
+exact values by their integer ratios, so no Fraction is hashed. fractions
+(which loads decimal and numbers) is imported inside _detour_waypoint, the
+one function that builds a Fraction, for the waypoint it returns and, when
+a coordinate is a float, for its time t; it runs only for a segment that
+crosses the diagonal: at module top it took about a fifth of `import
+nokequal`, which every CLI call pays for."""
 
 from __future__ import annotations
 
@@ -42,31 +47,42 @@ from .preorder import Record, _set, check_ints, mask_of
 Configuration = Sequence[float]
 
 
-def _classes(x: Configuration) -> Iterable[list[int]]:
-    """The classes of equal coordinates of x, as lists of 1-based indices."""
+def _classes(x: Configuration, exact: bool = False) -> Iterable[list[int]]:
+    """The classes of equal coordinates of x, as lists of 1-based indices.
+
+    An int or a float is grouped by its own hash. If exact is true, as
+    _check_coordinates returns when some coordinate is neither, every
+    coordinate is grouped by its as_integer_ratio(), which int, float,
+    Fraction and Decimal give in lowest terms with a positive denominator,
+    so that equal values of any of these types meet and no Fraction is
+    hashed: Fraction.__hash__ computes a modular inverse per value."""
+    keys = [v.as_integer_ratio() for v in x] if exact else x
     classes: dict = {}
-    for i, v in enumerate(x, 1):
+    for i, v in enumerate(keys, 1):
         classes.setdefault(v, []).append(i)
     return classes.values()
 
 
-def _check_coordinates(x: Configuration) -> None:
+def _check_coordinates(x: Configuration) -> bool:
     """Raise NotInSpace unless every coordinate is a finite real number: an
     int, a finite float, or a value with as_integer_ratio, such as a
-    Fraction (as_integer_ratio raises for inf and NaN)."""
+    Fraction or a Decimal (as_integer_ratio raises for inf and NaN).
+    Return True iff some coordinate is neither an int nor a float."""
+    exact = False
     for v in x:
         if not (type(v) is float and isfinite(v)) and type(v) is not int:
             try:
                 v.as_integer_ratio()
             except (AttributeError, OverflowError, TypeError, ValueError):
                 raise NotInSpace(f"coordinate {v!r:.24} is not a finite real") from None
+            exact = True
+    return exact
 
 
 def in_conf_k(x: Configuration, k: int) -> bool:
     """True iff every class of equal coordinates has fewer than k members."""
     rule = _class_rule(k, len(x))
-    _check_coordinates(x)
-    return all(map(rule, _classes(x)))
+    return all(map(rule, _classes(x, _check_coordinates(x))))
 
 
 class SimplicialComplex(Record):
@@ -136,8 +152,7 @@ def _class_rule(constraint: Union[int, SimplicialComplex],
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
     """True iff every class of two or more equal coordinates is a face of K."""
     rule = _class_rule(K, len(x))
-    _check_coordinates(x)
-    return all(map(rule, _classes(x)))
+    return all(map(rule, _classes(x, _check_coordinates(x))))
 
 
 def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
@@ -234,6 +249,17 @@ def _clear_in_floats(x: Configuration, y: Configuration,
     return True
 
 
+def _over_common_denominator(x: Configuration, y: Configuration
+                             ) -> tuple[int, list[int], list[int]]:
+    """(den, xs, ys): the coordinates of x and y, finite reals, are
+    xs[l]/den and ys[l]/den, with den > 0 the lcm of their denominators."""
+    n = len(x)
+    ratios = [v.as_integer_ratio() for v in (*x, *y)]
+    den = lcm(*[q for _, q in ratios])
+    nums = [p * (den // q) for p, q in ratios]
+    return den, nums[:n], nums[n:]
+
+
 def _exit_time(x: Configuration, y: Configuration,
                ok: Callable[[list[int]], bool]) -> Optional[tuple[int, int]]:
     """First time t in [0,1] at which a class of equal coordinates of
@@ -282,10 +308,7 @@ def _exit_time(x: Configuration, y: Configuration,
     if _clear_in_floats(x, y, ok):
         return None
     n = len(x)
-    ratios = [v.as_integer_ratio() for v in (*x, *y)]
-    den = lcm(*[q for _, q in ratios])
-    nums = [p * (den // q) for p, q in ratios]
-    xs, ys = nums[:n], nums[n:]
+    _, xs, ys = _over_common_denominator(x, y)
     best = None  # the first bad time found so far, (a, b) with b > 0
     for i in range(n - 1):
         xi, yi = xs[i], ys[i]
@@ -310,15 +333,6 @@ def _exit_time(x: Configuration, y: Configuration,
     return best
 
 
-def _crossing_and_normal(x: Configuration, y: Configuration, t) -> tuple[list, tuple]:
-    """The point p = (1 - t) x + t y where [x, y] crosses the diagonal at
-    the Fraction t, and u = cross(y - x, (1,1,1)), which for d = y - x is
-    (d_2 - d_3, d_3 - d_1, d_1 - d_2)."""
-    s = 1 - t
-    d1, d2, d3 = (yi - xi for xi, yi in zip(x, y))
-    return [s * xi + t * yi for xi, yi in zip(x, y)], (d2 - d3, d3 - d1, d1 - d2)
-
-
 # exact bound of the float range: int, float and Fraction values compare
 # with an int exactly, and NaN compares false
 _FLOAT_MAX = int(sys.float_info.max)
@@ -332,37 +346,73 @@ def _detour_waypoint(x: Configuration, y: Configuration, at: tuple[int, int]) ->
     A waypoint w gives a clear detour if it is off the plane through the
     diagonal and x (the plane holds y too): each detour segment then has
     one end off the plane and cannot meet the diagonal, which lies in it.
-    With p and u from _crossing_and_normal, u is normal to that plane and p
-    lies on the diagonal, so every w = a p + b u with b != 0 is off the
-    plane.
+    The point p = (1 - t) x + t y lies on the diagonal, and
+    u = cross(y - x, (1,1,1)), which for d = y - x is
+    (d_2 - d_3, d_3 - d_1, d_1 - d_2), is normal to that plane, so every
+    w = r p + s u with s != 0 is off the plane.
 
-    The waypoint is p + u, in the coordinates' own arithmetic (exact for
-    int and Fraction coordinates), when every coordinate of it is in the
-    float range. Otherwise float arithmetic overflowed near the top of the
-    range (an overflow anywhere leaves an inf or NaN in p + u), or an
-    exact coordinate is beyond it. Then p and u are taken exactly, over
-    the rationals the coordinates denote, and the waypoint is
-    (p + (c/m) u) / 2, with c the largest |coordinate| of x and y and m
-    that of u: both summands are at most c in size, so the waypoint is
-    too, and it lies c/2 or more from the plane. It is rounded once, to
-    floats if a coordinate is a float; each rounding moves a coordinate by
-    at most 2^-53 c, so the rounded waypoint is off the plane as well. A
-    small multiple of u would not do: scaled down far enough to keep
-    p + u in range, it may round to zero.
+    The waypoint is p + u when every coordinate of it is in the float
+    range. With the coordinates over one common denominator den
+    (_over_common_denominator), x_l = X_l/den, y_l = Y_l/den and
+    u_l = U_l/den, U = cross(Y - X, (1,1,1)), so in integers
+
+        w_l = N_l / (den b),  N_l = (b - a) X_l + a Y_l + b U_l,
+
+    and w is in range iff |N_l| <= _FLOAT_MAX den b for every l. When no
+    coordinate is a float, this w is returned as Fractions. When one is,
+    p + u is taken in the coordinates' own arithmetic with t a Fraction
+    (a coordinate that is neither an int, a float nor a Fraction, such as
+    a Decimal, taken as a Fraction), which gives floats: an overflow there
+    leaves an inf or NaN in it, or raises OverflowError where an exact
+    value beyond the float range meets a float.
+
+    Otherwise the waypoint is (p + (c/m) u) / 2, with c the largest
+    |coordinate| of x and y and m that of u: both summands are at most c
+    in size, so the waypoint is too, and it lies c/2 or more from the
+    plane. With C = c den and M = m den, the largest |X_l|, |Y_l| and
+    |U_l|, c/m = C/M, and in integers
+
+        w_l = ((b - a) X_l M + a Y_l M + b C U_l) / (2 den b M),
+
+    returned as Fractions, or rounded once to floats if a coordinate is a
+    float; each rounding moves a coordinate by at most 2^-53 c, so the
+    rounded waypoint is off the plane as well. A small multiple of u would
+    not do: scaled down far enough to keep p + u in range, it may round
+    to zero.
     """
     from fractions import Fraction
 
-    t = Fraction(*at)
-    w = tuple(pi + ui for pi, ui in zip(*_crossing_and_normal(x, y, t)))
-    if all(-_FLOAT_MAX <= wi <= _FLOAT_MAX for wi in w):
-        return w
+    a, b = at
     rounded = any(isinstance(v, float) for v in chain(x, y))
-    x, y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
-    c = max(map(abs, chain(x, y)))
-    p, u = _crossing_and_normal(x, y, t)
-    lam = c / max(map(abs, u))
-    w = tuple((pi + lam * ui) / 2 for pi, ui in zip(p, u))
-    return tuple(map(float, w)) if rounded else w
+    if rounded:
+        t = Fraction(a, b)
+        s = 1 - t
+        x, y = ([v if isinstance(v, (int, float, Fraction)) else Fraction(*v.as_integer_ratio())
+                 for v in z] for z in (x, y))
+        try:
+            d1, d2, d3 = (yl - xl for xl, yl in zip(x, y))
+            w = tuple(s * xl + t * yl + ul
+                      for xl, yl, ul in zip(x, y, (d2 - d3, d3 - d1, d1 - d2)))
+            if all(-_FLOAT_MAX <= wl <= _FLOAT_MAX for wl in w):
+                return w
+        except OverflowError:  # an exact value beyond the float range met a float
+            pass
+    den, xs, ys = _over_common_denominator(x, y)
+    d1, d2, d3 = (yl - xl for xl, yl in zip(xs, ys))
+    us = (d2 - d3, d3 - d1, d1 - d2)
+    r = b - a
+    if not rounded:
+        q = den * b
+        nums = [r * xl + a * yl + b * ul for xl, yl, ul in zip(xs, ys, us)]
+        if max(map(abs, nums)) <= _FLOAT_MAX * q:
+            return tuple(Fraction(nl, q) for nl in nums)
+    big_c = max(map(abs, chain(xs, ys)))
+    big_m = max(map(abs, us))
+    q = 2 * den * b * big_m
+    nums = [(r * xl + a * yl) * big_m + b * big_c * ul for xl, yl, ul in zip(xs, ys, us)]
+    if rounded:
+        return tuple(nl / q for nl in nums)
+    return tuple(Fraction(nl, q) for nl in nums)
 
 
 def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
@@ -378,10 +428,9 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     """
     if len(x) != 3 or len(y) != 3:
         raise DimensionMismatch("planner works on 3 coordinates")
-    _check_coordinates(x)
-    _check_coordinates(y)
+    exact_x, exact_y = _check_coordinates(x), _check_coordinates(y)
     ok = _class_rule(3, 3)
-    if not all(map(ok, chain(_classes(x), _classes(y)))):
+    if not all(map(ok, chain(_classes(x, exact_x), _classes(y, exact_y)))):
         raise NotInSpace("endpoint has a triple collision")
     t = _exit_time(x, y, ok)
     if t is None:

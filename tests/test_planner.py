@@ -3,8 +3,9 @@ import random
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -393,6 +394,9 @@ def test_plan_detour_is_finite_near_the_top_of_the_float_range(pair, i):
     # is 2^1024 (1, -1, 1)
     (tuple(Fraction(v, 3) * 2 ** 1024 for v in (0, 1, 2)),
      tuple(Fraction(v, 3) * 2 ** 1024 for v in (2, 1, 0))),
+    # a float among int coordinates whose differences pass the float
+    # range: p + u in floats raises OverflowError, so it is rescaled
+    ((0.0, 2 ** 1023, -2 ** 1023), (-0.0, -2 ** 1023, 2 ** 1023)),
 ])
 def test_plan_detour_is_finite_at_extreme_pairs(x, y):
     domain, path = plan_conf3_3(x, y)
@@ -400,6 +404,171 @@ def test_plan_detour_is_finite_at_extreme_pairs(x, y):
     assert {type(c) for c in path.points[1]} == {type(x[0])}
     assert all(math.isfinite(c) for pt in path.points for c in pt)
     assert validate_path(path, 3, strict=True)
+    want, _ = expected_waypoint(x, y, _exit_time(x, y, lambda c: len(c) < 3))
+    assert repr(path.points[1]) == repr(want)
+
+
+FLOAT_MAX = int(sys.float_info.max)
+
+
+def reference_crossing_and_normal(x, y, t):
+    """The point p = (1 - t) x + t y where [x, y] crosses the diagonal at
+    the Fraction t, and u = cross(y - x, (1,1,1)), in the coordinates' own
+    arithmetic."""
+    s = 1 - t
+    d1, d2, d3 = (yi - xi for xi, yi in zip(x, y))
+    return [s * xi + t * yi for xi, yi in zip(x, y)], (d2 - d3, d3 - d1, d1 - d2)
+
+
+def reference_detour_waypoint(x, y, at):
+    """The detour waypoint in Fraction arithmetic: p + u in the
+    coordinates' own arithmetic if it is in the float range, else
+    (p + (c/m) u) / 2 over the rationals, rounded to floats if a
+    coordinate is a float (see planner._detour_waypoint)."""
+    t = Fraction(*at)
+    w = tuple(pi + ui for pi, ui in zip(*reference_crossing_and_normal(x, y, t)))
+    if all(-FLOAT_MAX <= wi <= FLOAT_MAX for wi in w):
+        return w
+    return reference_rescaled_waypoint(x, y, t)
+
+
+def reference_rescaled_waypoint(x, y, t):
+    """(p + (c/m) u) / 2 over the rationals, rounded to floats if a
+    coordinate is a float."""
+    rounded = any(isinstance(v, float) for v in chain(x, y))
+    x, y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+    c = max(map(abs, chain(x, y)))
+    p, u = reference_crossing_and_normal(x, y, t)
+    lam = c / max(map(abs, u))
+    w = tuple((pi + lam * ui) / 2 for pi, ui in zip(p, u))
+    return tuple(map(float, w)) if rounded else w
+
+
+def expected_waypoint(x, y, at):
+    """The reference waypoint and its route: "p + u", "rescaled", or
+    "overflow" where an exact value beyond the float range meets a float
+    in p + u, for which the reference raises OverflowError and the planner
+    takes the rescaled waypoint."""
+    t = Fraction(*at)
+    try:
+        p, u = reference_crossing_and_normal(x, y, t)
+        want = reference_detour_waypoint(x, y, at)
+    except OverflowError:
+        return reference_rescaled_waypoint(x, y, t), "overflow"
+    in_range = all(-FLOAT_MAX <= pi + ui <= FLOAT_MAX for pi, ui in zip(p, u))
+    return want, "p + u" if in_range else "rescaled"
+
+
+def _detour_coordinate(rng, kind):
+    if kind == "int":
+        return rng.randint(-50, 50)
+    if kind == "fraction":
+        return Fraction(rng.randint(-600, 600), rng.choice((1, 2, 3, 7, 12, 999)))
+    return math.ldexp(rng.randint(-2 ** 20, 2 ** 20), -rng.randint(0, 30))
+
+
+def _scaled(v, shift):
+    return math.ldexp(v, shift) if type(v) is float else v * 2 ** shift
+
+
+DETOUR_KINDS = (("int",), ("fraction",), ("int", "fraction"),
+                ("float",), ("float", "int"), ("float", "fraction"))
+
+
+def detour_cases(seed, count):
+    """A seeded stream of (x, y, at) where [x, y] crosses the diagonal at
+    t = a/b, at = (a, b): y = q - s (x - q), which meets q (1,1,1) at
+    t = 1 / (1 + s), on int, Fraction and float coordinates and their
+    mixes (DETOUR_KINDS). Half of the pairs are scaled by a power of two
+    so that the largest |coordinate| lies in [2^(1022-i), 2^(1023-i)),
+    i = -1..2, on both sides of the switch to the rescaled waypoint."""
+    rng = random.Random(seed)
+    ok = lambda c: len(c) < 3
+    made = 0
+    while made < count:
+        kinds = rng.choice(DETOUR_KINDS)
+        x = [_detour_coordinate(rng, rng.choice(kinds)) for _ in range(3)]
+        q = _detour_coordinate(rng, rng.choice(kinds))
+        s = rng.choice((1, 2, 3) if "float" in kinds else (1, 2, 3, Fraction(1, 3)))
+        y = [q - s * (v - q) for v in x]
+        if rng.random() < 0.5:
+            c = max(abs(v) for v in chain(x, y))
+            if c == 0:
+                continue
+            shift = 1023 - math.frexp(c)[1] - rng.randint(-1, 2)
+            x, y = ([_scaled(v, shift) for v in z] for z in (x, y))
+        x, y = tuple(x), tuple(y)
+        if not (in_conf_k(x, 3) and in_conf_k(y, 3)):
+            continue
+        at = _exit_time(x, y, ok)
+        if at is not None:
+            made += 1
+            yield x, y, at
+
+
+def test_detour_waypoint_matches_the_fraction_reference():
+    routes = {}  # (has a float, route) -> cases
+    for x, y, at in detour_cases(31, 3000):
+        want, route = expected_waypoint(x, y, at)
+        assert repr(planner._detour_waypoint(x, y, at)) == repr(want), (x, y, at)
+        key = any(isinstance(v, float) for v in chain(x, y)), route
+        routes[key] = routes.get(key, 0) + 1
+    # every route, exact and float, in range and rescaled, is exercised
+    assert {key for key, count in routes.items() if count > 100} == \
+        {(False, "p + u"), (False, "rescaled"), (True, "p + u"), (True, "rescaled")}, routes
+    assert routes.get((True, "overflow"), 0) > 0, routes
+
+
+def test_a_decimal_crossing_pair_gets_an_exact_detour():
+    x = (Decimal("0.5"), Decimal(1), Decimal(3))
+    y = (Decimal("3.5"), Decimal(3), Decimal(1))
+    domain, path = plan_conf3_3(x, y)
+    assert domain == 1
+    assert path.points[1] == (6, -3, 3)
+    assert {type(c) for c in path.points[1]} == {Fraction}
+    assert validate_path(path, 3, strict=True)
+    # with a float among them, the waypoint is p + u in floats
+    domain, path = plan_conf3_3((0.5, *x[1:]), y)
+    assert domain == 1 and path.points[1] == (6.0, -3.0, 3.0)
+    assert validate_path(path, 3, strict=True)
+
+
+def hash_classes(x):
+    """The classes of equal coordinates of x grouped by hashing the
+    values themselves."""
+    classes = {}
+    for i, v in enumerate(x, 1):
+        classes.setdefault(v, []).append(i)
+    return sorted(classes.values())
+
+
+CLASS_VALUES = (0, 1, -1, 3, 0.5, 1.0, -1.0, 0.1, 3.0, 2.0 ** -60,
+                Fraction(1, 2), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(1, 10),
+                Fraction(3), Fraction(1, 2 ** 60),
+                Decimal("0.5"), Decimal("1.0"), Decimal("-1"), Decimal("0.1"),
+                Decimal("3"), Decimal("0.50"), Decimal("-0"))
+
+
+def test_classes_of_mixed_types_match_hash_grouping(monkeypatch):
+    rng = random.Random(37)
+    kinds = {}  # the types of a configuration -> configurations
+    for _ in range(3000):
+        pool = rng.choice((CLASS_VALUES[:4], CLASS_VALUES[4:10], CLASS_VALUES[:10], CLASS_VALUES))
+        x = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+        # only a value that is neither an int nor a float makes _classes
+        # key the coordinates by their ratios
+        exact = planner._check_coordinates(x)
+        assert exact == any(type(v) not in (int, float) for v in x)
+        assert sorted(planner._classes(x, exact)) == hash_classes(x), x
+        key = frozenset(map(type, x))
+        kinds[key] = kinds.get(key, 0) + 1
+    for types in ({int}, {float}, {int, float}, {int, float, Fraction, Decimal}):
+        assert kinds.get(frozenset(types), 0) > 20, kinds
+    # neither the planner nor strict validation hashes a Fraction
+    monkeypatch.setattr(Fraction, "__hash__", None)
+    x = (Fraction(1, 3), Fraction(2, 3), Fraction(1))
+    domain, path = plan_conf3_3(x, tuple(1 - v for v in x))
+    assert domain == 1 and validate_path(path, 3, strict=True)
 
 
 def test_parallel_to_diagonal_is_direct():
