@@ -138,7 +138,12 @@ def _close(n: int, masks: Sequence[tuple[int, int, int]]) -> tuple | None:
     and every element outside the J's sits in K_f for a prefix of that order
     and in I_f for the rest. Since each factor partitions 1..n, all of this
     holds iff the factors, listed by strictly growing I, nest: I_f u J_f is
-    contained in I_g for each consecutive pair f, g. The closure is then
+    contained in I_g for each consecutive pair f, g. Nesting makes each I_f
+    a proper subset of the next I_g (J_f is not empty), hence a smaller
+    integer as a bitmask, so when the factors nest, plain tuple order
+    sorted(masks) lists them in their nesting order; no sort key is needed.
+    A list that does not nest fails some consecutive check in any order,
+    and a tie in I fails one because J is not empty. The closure is then
     (I_1)[J_1](K_1 n I_2)[J_2] ... [J_d](K_d), hole i holding the elements
     that sit above exactly i blocks. Any other product closes some J_f into
     a class with another element, more than k-1 elements, and is zero; that
@@ -150,7 +155,7 @@ def _close(n: int, masks: Sequence[tuple[int, int, int]]) -> tuple | None:
     """
     if not masks:
         return (((1 << n) - 1, False),)
-    masks = sorted(masks, key=lambda ijk: ijk[0].bit_count())
+    masks = sorted(masks)
     parts = [(masks[0][0], False)]
     for (i_lo, j_lo, k_lo), (i_hi, _, _) in zip(masks, masks[1:]):
         if (i_lo | j_lo) & ~i_hi:

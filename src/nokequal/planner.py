@@ -451,12 +451,20 @@ def _sampled_ok(a: Configuration, b: Configuration, samples: int,
     t = 1. Where b_i - a_i is beyond the float range the sum would be inf
     or NaN, so the coordinate is the convex sum (1 - t) * float(a_i) +
     t * float(b_i), which stays in range. Exact coordinates beyond the
-    float range raise ParameterOutOfRange.
+    float range raise ParameterOutOfRange. Any other coordinate, such as a
+    Decimal, is first taken as the Fraction of its as_integer_ratio(), as
+    _detour_waypoint does, so that a float or a Fraction can be subtracted
+    from it.
     """
     n = samples - 1
     cols = []
     try:
         for ai, bi in zip(a, b):
+            if not (isinstance(ai, (int, float)) and isinstance(bi, (int, float))):
+                from fractions import Fraction
+
+                ai, bi = (v if isinstance(v, (int, float, Fraction))
+                          else Fraction(*v.as_integer_ratio()) for v in (ai, bi))
             d = bi - ai
             # exact for int, float and Fraction; false for inf and NaN
             cols.append((float(ai), float(bi), float(d) if abs(d) <= _FLOAT_MAX else None))

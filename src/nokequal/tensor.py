@@ -13,6 +13,7 @@ from typing import Iterable
 from .cohomology import (
     CohClass,
     _close,
+    _nf,
     _product,
     _term_masks,
     witness_closure,
@@ -98,8 +99,15 @@ class TensorClass(Record):
 def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
                  primed: bool = False) -> TensorClass:
     """The zero-divisor z_{m,q}: x_m (x'_m when primed) in slot q plus x_m
-    in slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m. Both classes come
-    from the normal-form memo, x_m's by its masks (_x_masks)."""
+    in slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m.
+
+    Built in one pass from the normal-form memo: x_m's basic terms are
+    _product of its masks (_x_masks), the unit's one term is _nf's, and the
+    s-tuples (each term of x_m in slot q, then in slot s, the unit in every
+    other slot) form the TensorClass directly. The two halves share no
+    tuple, since x_m's terms have degree 1, so their union is their GF(2)
+    sum. Every call checks that z lies in the kernel of multiplication
+    (multiplication_image) and raises CertificateFailure otherwise."""
     if (type(k) is not int or type(n) is not int or type(m) is not int
             or type(q) is not int or type(s) is not int):
         check_ints(k=k, n=n, m=m, q=q, s=s)
@@ -108,11 +116,11 @@ def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
     if m + k > n + 2:
         raise IndexOutOfRange(f"m={m} needs m+k <= n+2")
     # x_{n-k+2} is elementary but not basic; its normal form is a sum
-    x = CohClass(k, n, _product(k, n, [_x_masks(m, k, n, primed)]))
-    one = CohClass.unit(k, n)
-    first = TensorClass.pure([x if j == q else one for j in range(1, s + 1)], k, n)
-    last = TensorClass.pure([x if j == s else one for j in range(1, s + 1)], k, n)
-    z = first + last
+    x_terms = _product(k, n, [_x_masks(m, k, n, primed)])
+    (one,) = _nf(k, n, (((1 << n) - 1, False),))
+    before, between, units = (one,) * (q - 1), (one,) * (s - 1 - q), (one,) * (s - 1)
+    z = TensorClass(k, n, s, frozenset([
+        t for x in x_terms for t in (before + (x,) + between + (one,), units + (x,))]))
     if multiplication_image(z):
         raise CertificateFailure("zero-divisor escaped the kernel of multiplication")
     return z
@@ -161,11 +169,15 @@ def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
 
 def multiplication_image(t: TensorClass) -> CohClass:
     """Image under the s-fold cup multiplication map H^{⊗s} -> H: one
-    _product per term, over the concatenated factor masks of its slots."""
+    _product per term, over the tuple of its slots' factor masks joined
+    in slot order (_term_masks checks each slot's preorder)."""
     k, n = t.k, t.n
     acc: set[StringPreorder] = set()
     for tup in t.terms:
-        acc ^= _product(k, n, [f for p in tup for f in _term_masks(p, k, n)])
+        masks = ()
+        for p in tup:
+            masks += _term_masks(p, k, n)
+        acc ^= _product(k, n, masks)
     return CohClass(k, n, frozenset(acc))
 
 
@@ -343,7 +355,10 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     The domain is that of the closed forms, k >= 3 and n >= 1; cells with
     n < k are contractible and give 0. Every other bound is backed by a
     nonzero product of the structured factors (_structured_factors), each
-    built by zero_divisor, so each one's kernel check runs.
+    built by zero_divisor, so each one's kernel check runs. Each divisor
+    is built once per call: where the exhaustive search below runs, it
+    builds every y_m and y'_m, the structured factors among them, and they
+    are not built a second time.
 
     For n > k the product is all s*i of them, i = floor(n/k), and it is
     certified nonzero by one coefficient: that of the designated term
@@ -379,18 +394,21 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
             raise CertificateFailure("structured witness product unexpectedly vanished")
         return s - 1
     i = n // k
-    for m, q in _structured_factors(k, i, s):
-        zero_divisor(k, n, m, q, s)
+    searched = s == 2 and n <= 2 * k
+    if not searched:
+        # the search below builds every y_m and y'_m, these among them
+        for m, q in _structured_factors(k, i, s):
+            zero_divisor(k, n, m, q, s)
     term = expected_witness_term(k, n, i, s)
     if _witness_coefficient(k, n, i, s, term) != 1:
         raise CertificateFailure(
             f"the coefficient of {TENSOR_SIGN.join(map(str, term))} in the "
             "structured witness product vanished")
     bound = s * i
-    if s == 2 and n <= 2 * k:
-        searched = _exhaustive_zcl(k, n)
-        if searched != bound:
+    if searched:
+        found = _exhaustive_zcl(k, n)
+        if found != bound:
             raise CertificateFailure(
-                f"exhaustive zero-divisor search gives {searched}, "
+                f"exhaustive zero-divisor search gives {found}, "
                 f"structured witness gives {bound}")
     return bound

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -192,6 +193,79 @@ def test_closed_form_matches_warshall_on_seeded_lists():
         nonzero += closed is not None
     # both outcomes are exercised in bulk
     assert 3_000 < nonzero < 17_000
+
+
+def popcount_sorted_close(n, masks):
+    """_close with the factors sorted by the size of I, as a sort key:
+    the oracle for the plain tuple sort of _close."""
+    if not masks:
+        return (((1 << n) - 1, False),)
+    masks = sorted(masks, key=lambda ijk: ijk[0].bit_count())
+    parts = [(masks[0][0], False)]
+    for (i_lo, j_lo, k_lo), (i_hi, _, _) in zip(masks, masks[1:]):
+        if (i_lo | j_lo) & ~i_hi:
+            return None
+        parts += [(j_lo, True), (k_lo & i_hi, False)]
+    _, j_top, k_top = masks[-1]
+    parts += [(j_top, True), (k_top, False)]
+    return tuple(lv for lv in parts if lv[0])
+
+
+@pytest.mark.parametrize("k,n,degrees", [(3, 7, (0, 1, 2)), (4, 9, (2,))])
+def test_close_of_any_factor_order_gives_the_levels(k, n, degrees):
+    for d in degrees:
+        for p in enumerate_admissible(k, n, d):
+            masks = _factor_masks(n, admissible_blocks(p.levels, k))
+            for perm in itertools.permutations(masks):
+                assert cohomology._close(n, perm) == p.levels, (p, perm)
+
+
+def random_generator_masks(rng, k, n, length):
+    """Masks (I, J, K) of `length` generators of ring (k, n): half the
+    time a shuffled nesting chain, with one factor at random replaced or
+    repeated one time in three, and otherwise independent random
+    generators, which seldom nest."""
+    elems = list(range(n))
+    rng.shuffle(elems)
+    if rng.random() < 0.5 and length * (k - 1) <= n:
+        # holes of random sizes between `length` blocks of k-1 elements
+        cuts = sorted(rng.choices(range(n - length * (k - 1) + 1), k=length))
+        masks, below, pos = [], 0, 0
+        for f, cut in enumerate(cuts):
+            start = cut + f * (k - 1)
+            below |= sum(1 << e for e in elems[pos:start])
+            block = sum(1 << e for e in elems[start:start + k - 1])
+            masks.append((below, block, ((1 << n) - 1) ^ below ^ block))
+            below |= block
+            pos = start + k - 1
+        rng.shuffle(masks)
+        how = rng.randrange(3)
+        if how == 0:
+            masks[rng.randrange(length)] = random_generator_masks(rng, k, n, 1)[0]
+        elif how == 1:
+            masks[rng.randrange(length)] = rng.choice(masks)
+        return masks
+    masks = []
+    for _ in range(length):
+        rng.shuffle(elems)
+        block = sum(1 << e for e in elems[:k - 1])
+        below = sum(1 << e for e in elems[k - 1:] if rng.random() < 0.5)
+        masks.append((below, block, ((1 << n) - 1) ^ below ^ block))
+    return masks
+
+
+def test_close_matches_the_popcount_sort_on_seeded_lists():
+    rng = random.Random(20261020)
+    nonzero = 0
+    for _ in range(20_000):
+        k = rng.randint(3, 5)
+        n = rng.randint(k, 12)
+        masks = random_generator_masks(rng, k, n, rng.randint(1, 4))
+        closed = cohomology._close(n, masks)
+        assert closed == popcount_sorted_close(n, masks), (n, masks)
+        nonzero += closed is not None
+    # both outcomes are exercised in bulk
+    assert 3_000 < nonzero < 17_000, nonzero
 
 
 def test_normalize_basic_is_fixed():

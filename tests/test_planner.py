@@ -533,6 +533,19 @@ def test_a_decimal_crossing_pair_gets_an_exact_detour():
     assert validate_path(path, 3, strict=True)
 
 
+def test_sampled_validation_takes_a_decimal_as_a_fraction():
+    # a Decimal next to a Fraction or a float cannot be subtracted from it
+    x = (Decimal("0.5"), Decimal(1), Decimal(3))
+    y = (Decimal("3.5"), Decimal(3), Decimal(1))
+    detour = plan_conf3_3(x, y)[1]
+    mixed = Path.through((Decimal(1), 0.0, 2.0), (0.5, 1.0, 2.0))
+    for path in (detour, mixed):
+        assert validate_path(path, 3) is validate_path(path, 3, strict=True) is True
+    # t = 1/2 is a sample and the segment meets the diagonal there
+    crossing = Path.through((Decimal(0), Decimal(1), Decimal(2)), (2.0, Fraction(1), 0.0))
+    assert validate_path(crossing, 3, samples=3) is validate_path(crossing, 3, strict=True) is False
+
+
 def hash_classes(x):
     """The classes of equal coordinates of x grouped by hashing the
     values themselves."""

@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import product as iproduct
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nokequal import cohomology, tensor
-from nokequal.cohomology import CohClass, cup
+from nokequal.cohomology import CohClass, cup, normalize
 from nokequal.errors import (
     AmbientMismatch,
     CertificateFailure,
@@ -13,8 +14,8 @@ from nokequal.errors import (
     NotAdmissible,
     ParameterOutOfRange,
 )
-from nokequal.invariants import tcs_formula
-from nokequal.preorder import classify, discrete, enumerate_basic, parse_preorder
+from nokequal.invariants import invariant_report, tcs_formula
+from nokequal.preorder import classify, discrete, enumerate_basic, make_x, parse_preorder
 from nokequal.tensor import (
     TensorClass,
     _exhaustive_zcl,
@@ -54,6 +55,32 @@ def test_zero_divisor_outside_the_kernel_is_a_certificate_failure(monkeypatch):
     monkeypatch.setattr(tensor, "multiplication_image", lambda t: CohClass.unit(t.k, t.n))
     with pytest.raises(CertificateFailure, match="kernel"):
         y(3, 5, 1)
+
+
+def reference_zero_divisor(k, n, m, q, s, primed):
+    """z_{m,q} built from classes: x_m (x'_m) as a normalized CohClass,
+    one pure tensor with it in slot q and one with it in slot s, added."""
+    x = normalize(make_x(m, k, n, primed), k)
+    one = CohClass.unit(k, n)
+    first = TensorClass.pure([x if j == q else one for j in range(1, s + 1)], k, n)
+    last = TensorClass.pure([x if j == s else one for j in range(1, s + 1)], k, n)
+    return first + last
+
+
+def test_zero_divisor_matches_the_class_construction():
+    cases = 0
+    for k in range(3, 10):
+        for n in range(k, 10):
+            for m in range(1, n - k + 3):
+                for s in range(2, 5):
+                    for q in range(1, s):
+                        for primed in ((False, True) if m >= 2 else (False,)):
+                            z = zero_divisor(k, n, m, q, s, primed)
+                            ref = reference_zero_divisor(k, n, m, q, s, primed)
+                            assert z == ref and hash(z) == hash(ref), (k, n, m, q, s, primed)
+                            assert str(z) == str(ref)
+                            cases += 1
+    assert cases > 1000, cases
 
 
 def test_zero_divisor_boundary_generator_is_normalized():
@@ -221,6 +248,39 @@ def test_zcl_lower_multiplies_no_tensor_product_above_n_equals_k(monkeypatch, k,
     monkeypatch.setattr(tensor, "tensor_cup", refuse)
     assert zcl_lower(k, n, s) == s * (n // k)
     assert sorted(built) == sorted((k, n, m, q, s) for m, q in _structured_factors(k, n // k, s))
+
+
+@pytest.mark.parametrize("k,n", [(3, n) for n in (4, 5, 6)] + [(4, n) for n in (5, 6, 7, 8)])
+def test_zcl_lower_builds_each_divisor_once(monkeypatch, k, n):
+    # the exhaustive search builds every y-type divisor, the structured
+    # factors among them, and zcl_lower builds none of them a second time;
+    # each build runs its kernel check
+    built, checked = [], []
+    real, real_image = tensor.zero_divisor, tensor.multiplication_image
+    signature = inspect.signature(real)
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        built.append(tuple(bound.arguments.values()))
+        return real(*args, **kwargs)
+
+    def checking(t):
+        checked.append(t)
+        return real_image(t)
+
+    monkeypatch.setattr(tensor, "zero_divisor", counting)
+    monkeypatch.setattr(tensor, "multiplication_image", checking)
+    assert zcl_lower(k, n, 2) == 2 * (n // k)
+    assert len(built) == len(set(built)) == len(checked)
+    assert {(k, n, m, q, 2, False) for m, q in _structured_factors(k, n // k, 2)} <= set(built)
+
+
+def test_a_divisor_outside_the_kernel_fails_the_report(monkeypatch):
+    monkeypatch.setattr(tensor, "multiplication_image", lambda t: CohClass.unit(t.k, t.n))
+    (cert,) = [c for c in invariant_report(3, 6, 2).certificates if c.name == "zcl_lower"]
+    assert cert.status == "fail" and cert.value is None
+    assert cert.note == "zero-divisor escaped the kernel of multiplication"
 
 
 def test_p_witness_values():
