@@ -36,7 +36,6 @@ from .preorder import (
     StringPreorder,
     classify,
     compose,
-    discrete,
     enumerate_admissible,
     enumerate_basic,
     make_preorder,
@@ -63,7 +62,7 @@ __all__ = [
     "Path", "SimplicialComplex", "in_conf_complex", "in_conf_k",
     "inverse_reduce", "plan_conf3_3", "reduce_to_xn",
     "validate_path",
-    "StringPreorder", "classify", "compose", "discrete",
+    "StringPreorder", "classify", "compose",
     "enumerate_admissible", "enumerate_basic", "make_preorder", "make_x",
     "parse_preorder",
     "TensorClass", "p_witness", "tensor_cup",

@@ -156,6 +156,8 @@ def verify_range(k_range: Iterable[int], n_range: Iterable[int],
     out = []
     for k in k_range:
         for n in n_range:
+            if type(k) is not int or type(n) is not int:
+                check_ints(k=k, n=n)
             if n < k:
                 continue
             for s in s_range:

@@ -6,23 +6,22 @@ A configuration is in a space iff each class of equal coordinates is
 allowed: fewer than k members in Conf_k(R,n), a face of K in Conf_K(R,n).
 K is stored by its facets, so a class of two or more indices is a face iff
 its bitmask is a subset of some facet's; a single index always is one.
-_class_rule builds that rule once; membership, the planner and both modes
-of validate_path apply it, and each checks every coordinate first
+_class_rule builds that rule once; membership, the planner and
+validate_path apply it, and each checks every coordinate first
 (_check_coordinates): an int, a finite float, or a finite value with
 as_integer_ratio; anything else, inf and NaN included, raises NotInSpace.
 
-The exact segment test (_exit_time), which the planner and strict
-validation share, decides every point of a segment. When every coordinate
-is a float, a float filter tries first to certify that no class is ever
-not ok: pairs that never meet are found by float comparisons, and a pair
+The exact segment test (_exit_time), which the planner and validation
+share, decides every point of a segment. When every coordinate is a
+float, a float filter tries first to certify that no class is ever not
+ok: pairs that never meet are found by float comparisons, and a pair
 that meets is shown alone in its class by determinants whose sign
 Shewchuk's orient2d error bound (3 + 16 eps) eps (|eh| + |fg|), eps =
 2^-53, certifies. Anything it cannot certify (a det within the bound, a
 magnitude sum below 2^-900 or beyond the float range, a pair equal all
 along, a meeting pair that is not ok, a coordinate that is not a float)
 goes to the rational route, which is the only one that returns a time.
-So answers do not depend on which route decided. The sampled mode checks
-float points only.
+So answers do not depend on which route decided.
 
 Exact arithmetic is integer arithmetic: the rational route of _exit_time
 and the planner's detour waypoint put every coordinate of a segment over
@@ -95,8 +94,10 @@ class SimplicialComplex(Record):
     __slots__ = ("n", "facets")
 
     def __init__(self, n: int, facets: tuple[int, ...]):
-        if not isinstance(n, int) or n < 0:
-            raise ParameterOutOfRange(f"vertex count {n!r:.24} is not an integer >= 0")
+        if type(n) is not int:
+            check_ints(n=n)
+        if n < 0:
+            raise ParameterOutOfRange(f"vertex count {n} is not >= 0")
         for f in facets:
             if not (isinstance(f, int) and f >= 0 and f >> n == 0):
                 raise ParameterOutOfRange(f"facet mask {f!r:.24} outside 1..{n}")
@@ -107,12 +108,16 @@ class SimplicialComplex(Record):
     def from_facets(cls, n: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """The complex whose faces are the subsets of the given facets, each
         a collection of integer vertices in 1..n; linear in the input."""
+        if type(n) is not int:
+            check_ints(n=n)
         masks = []
         for f in facets:
             f = list(f)
             for v in f:
-                if not (isinstance(v, int) and 1 <= v <= n):
-                    raise ParameterOutOfRange(f"vertex {v!r:.24} outside 1..{n}")
+                if type(v) is not int:
+                    check_ints(vertex=v)
+                if not 1 <= v <= n:
+                    raise ParameterOutOfRange(f"vertex {v} outside 1..{n}")
             masks.append(mask_of(f))
         return cls(n, tuple(masks))
 
@@ -120,6 +125,8 @@ class SimplicialComplex(Record):
     def skeleton(cls, n: int, dim: int) -> "SimplicialComplex":
         """The dim-skeleton of the full simplex: faces of size <= dim + 1,
         whose facets are the C(n, dim + 1) sets of that size."""
+        if type(n) is not int or type(dim) is not int:
+            check_ints(n=n, dim=dim)
         if n < 0 or dim < 0:
             raise ParameterOutOfRange(f"skeleton({n}, {dim}) needs n >= 0 and dim >= 0")
         return cls.from_facets(n, combinations(range(1, n + 1), min(dim + 1, n)))
@@ -438,77 +445,20 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     return 1, Path.through(x, _detour_waypoint(x, y, t), y)
 
 
-def _sampled_ok(a: Configuration, b: Configuration, samples: int,
-                ok: Callable[[list[int]], bool]) -> bool:
-    """True iff every class of equal coordinates is ok at each float point
-    of a + t(b - a) for the times t = m/N, m = 0..N, N = samples - 1.
-
-    Coordinate i is float(a_i) at m = 0, float(b_i) at m = N, and
-    float(a_i) + t * float(b_i - a_i) in between: the floats that
-    a_i + t * (b_i - a_i) gives for int, float and Fraction operands. The
-    ends are taken as they are because that sum can lose them: after a_i
-    near the top of the float range it rounds a subnormal b_i to 0.0 at
-    t = 1. Where b_i - a_i is beyond the float range the sum would be inf
-    or NaN, so the coordinate is the convex sum (1 - t) * float(a_i) +
-    t * float(b_i), which stays in range. Exact coordinates beyond the
-    float range raise ParameterOutOfRange. Any other coordinate, such as a
-    Decimal, is first taken as the Fraction of its as_integer_ratio(), as
-    _detour_waypoint does, so that a float or a Fraction can be subtracted
-    from it.
-    """
-    n = samples - 1
-    cols = []
-    try:
-        for ai, bi in zip(a, b):
-            if not (isinstance(ai, (int, float)) and isinstance(bi, (int, float))):
-                from fractions import Fraction
-
-                ai, bi = (v if isinstance(v, (int, float, Fraction))
-                          else Fraction(*v.as_integer_ratio()) for v in (ai, bi))
-            d = bi - ai
-            # exact for int, float and Fraction; false for inf and NaN
-            cols.append((float(ai), float(bi), float(d) if abs(d) <= _FLOAT_MAX else None))
-    except OverflowError:  # float() of an exact coordinate beyond the range
-        raise ParameterOutOfRange("coordinate beyond the float range") from None
-
-    def at(fa: float, fb: float, d: Optional[float], m: int) -> float:
-        if m == 0:
-            return fa
-        if m == n:
-            return fb
-        t = m / n
-        return fa + t * d if d is not None else (1 - t) * fa + t * fb
-
-    return all(all(map(ok, _classes(tuple(at(*col, m) for col in cols))))
-               for m in range(samples))
-
-
 def validate_path(path: Path, constraint: Union[int, SimplicialComplex],
-                  samples: int = 256, strict: bool = False) -> bool:
-    """Check that a path stays inside the configuration space: every class
-    of equal coordinates has fewer than k members, or is a face of K.
-
-    Strict mode is exact: per segment, _exit_time decides whether a class
-    is ever not allowed (a float filter certifies most clear float
-    segments; the rest are solved over the rationals), so every point of
-    the path is decided and `samples` is not used. Sampled mode checks
-    `samples` uniform points per segment, endpoints included, each
-    evaluated in floats (see _sampled_ok); it can miss a crossing between
-    samples and can see one that only rounding makes. A coordinate that is
-    not a finite real number raises NotInSpace in both modes, before any
-    segment is tested.
-    """
-    if type(samples) is not int:
-        check_ints(samples=samples)
-    if samples < 2:
-        raise ParameterOutOfRange("samples must be >= 2")
+                  samples: Optional[int] = None, strict: Optional[bool] = None) -> bool:
+    """True iff the path stays inside the configuration space: at every
+    point, every class of equal coordinates has fewer than k members, or is
+    a face of K. A coordinate that is not a finite real number raises
+    NotInSpace before any segment is tested. _exit_time then decides each
+    segment exactly (a float filter, then the rationals), so no crossing
+    between breakpoints is missed and none that only rounding makes is
+    seen. samples and strict are accepted, as older callers pass them, and
+    change nothing."""
     ok = _class_rule(constraint, len(path.start))
     for point in path.points:
         _check_coordinates(point)
     for a, b in path.pieces:
-        if strict:
-            if _exit_time(a, b, ok) is not None:
-                return False
-        elif not _sampled_ok(a, b, samples, ok):
+        if _exit_time(a, b, ok) is not None:
             return False
     return True

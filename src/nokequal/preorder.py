@@ -152,10 +152,6 @@ class StringPreorder(Record):
     def sort_key(self) -> tuple:
         return (self.n, self.levels)
 
-    @property
-    def full_blocks(self) -> list[int]:
-        return [mask for mask, full in self.levels if full]
-
     def _factored(self) -> tuple[int | None, tuple[tuple[int, int, int], ...]] | None:
         """(size, masks): the levels read as (I_0)[J_1](I_1) ... [J_d](I_d)
         with every Full block of one size, and the (I, J, K) masks of its
@@ -178,11 +174,6 @@ class StringPreorder(Record):
 def make_preorder(n: int, levels: Sequence[tuple[int, bool]]) -> StringPreorder:
     """Build a StringPreorder, normalizing singleton levels to Empty."""
     return StringPreorder(n, tuple(_level(m, f) for m, f in levels))
-
-
-def discrete(n: int) -> StringPreorder:
-    """The empty (discrete) preorder: a single Empty level holding 1..n."""
-    return StringPreorder(n, (LevelSet((1 << n) - 1, False),))
 
 
 _GROUP_RE = re.compile(r"([(\[])([^()\[\]]*)([)\]])")
@@ -224,6 +215,8 @@ def parse_preorder(text: str, n: int | None = None) -> StringPreorder:
         raise MalformedSyntax(f"trailing text {stripped[pos:]!r}")
     if n is None:
         n = max_seen
+    elif type(n) is not int:
+        check_ints(n=n)
     if max_seen > n:
         raise NotAPartition(f"element {max_seen} exceeds ambient size {n}")
     return make_preorder(n, levels)

@@ -8,7 +8,6 @@ topological complexity and its higher analogues.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Iterable
 
 from .cohomology import (
     CohClass,
@@ -63,12 +62,6 @@ class TensorClass(Record):
         (one,) = CohClass.unit(k, n).terms
         return cls(k, n, s, frozenset([(one,) * s]))
 
-    @classmethod
-    def pure(cls, slots: Iterable[CohClass], k: int, n: int) -> "TensorClass":
-        """Tensor product of s cohomology classes, one per slot."""
-        factors = list(slots)
-        return cls(k, n, len(factors), frozenset(iproduct(*(c.terms for c in factors))))
-
     def __add__(self, other: "TensorClass") -> "TensorClass":
         if (self.k, self.n, self.s) != (other.k, other.n, other.s):
             raise AmbientMismatch("tensor classes live in different rings")
@@ -83,11 +76,6 @@ class TensorClass(Record):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def swap(self) -> "TensorClass":
-        """Reverse the slots of every term (the coordinate-switch involution)."""
-        return TensorClass(self.k, self.n, self.s,
-                           frozenset(t[::-1] for t in self.terms))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -44,7 +44,6 @@ from nokequal.preorder import (
     _x_masks,
     admissible_blocks,
     classify,
-    discrete,
     elems_of,
     enumerate_admissible,
     enumerate_basic,
@@ -86,7 +85,7 @@ def test_monomial_closure_overlapping_brackets_merge_to_zero():
 
 
 def test_monomial_closure_empty_product_is_unit():
-    assert monomial_closure([], 3, 5) == discrete(5)
+    assert monomial_closure([], 3, 5) == parse_preorder("(1,2,3,4,5)")
 
 
 def test_monomial_closure_rejects_a_two_block_factor():
@@ -110,7 +109,7 @@ def warshall_closure(factors, k, n):
     """The closure through relation matrices: union of the factors'
     relations, Warshall, then the string form. Oracle for the closed form."""
     if not factors:
-        return discrete(n)
+        return make_preorder(n, [((1 << n) - 1, False)])
     for f in factors:
         if f.n != n:
             raise AmbientMismatch("factor has wrong ambient size")
@@ -809,7 +808,7 @@ def test_normalize_agrees_with_oracle_at_3_6_2():
 
 def test_oracle_degree_zero():
     o = oracle_normal_form(3, 5, 0)
-    assert o.basis == [discrete(5)]
+    assert o.basis == [parse_preorder("(1,2,3,4,5)")]
 
 
 # -- ring identities ---------------------------------------------------------

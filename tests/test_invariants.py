@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nokequal import make_x, tensor
+from nokequal import make_x, parse_preorder, tensor
 from nokequal.cohomology import betti, cup_length, oracle_normal_form
 from nokequal.errors import ParameterOutOfRange, RangeViolation
 from nokequal.invariants import (
@@ -100,6 +100,9 @@ NON_INTEGER_CALLS = [
     (invariant_report, (3, 6, 2.0)),
     (invariant_report, (3.0, 6)),
     (verify_range, ([3], [6.0])),
+    # compared with n before anything checked them
+    (verify_range, ("3", [5], [2])),
+    (parse_preorder, ("(1)", "3")),
 ]
 
 

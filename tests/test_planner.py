@@ -2,7 +2,6 @@ import math
 import random
 import sys
 import time
-import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations
@@ -71,8 +70,16 @@ def test_complex_downward_closure_from_facets():
     lambda: SimplicialComplex(-1, ()),
     lambda: SimplicialComplex(3, (0b1000,)),
     lambda: SimplicialComplex(3, (-1,)),
+    # an n, dim or vertex that is not an int; a bool is not taken as 0 or 1
+    lambda: SimplicialComplex.skeleton("a", 1),
+    lambda: SimplicialComplex.skeleton(3.0, 1),
+    lambda: SimplicialComplex.from_facets("3", [[1, 2]]),
+    lambda: SimplicialComplex.skeleton(True, 1),
+    lambda: SimplicialComplex.from_facets(3, [[True, 2]]),
 ], ids=["vertex 0", "vertex 4", "vertex 1.5", "vertex 'a'", "vertex -1",
-        "skeleton dim -1", "skeleton n -1", "n -1", "mask beyond n", "negative mask"])
+        "skeleton dim -1", "skeleton n -1", "n -1", "mask beyond n", "negative mask",
+        "skeleton n 'a'", "skeleton n 3.0", "from_facets n '3'", "skeleton n True",
+        "vertex True"])
 def test_complex_input_is_checked_at_the_boundary(build):
     with pytest.raises(ParameterOutOfRange):
         build()
@@ -198,13 +205,13 @@ def test_plan_detour():
     domain, path = plan_conf3_3((0, 1, 2), (2, 1, 0))
     assert domain == 1
     assert path.points[1] == (3, -3, 3)
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
 
 
 def test_plan_constant():
     domain, path = plan_conf3_3((0, 1, 2), (0, 1, 2))
     assert domain == 0
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
 
 
 def test_plan_domain_symmetric():
@@ -226,7 +233,7 @@ def test_plan_exact_rational_boundary():
     y = (Fraction(2), Fraction(1), Fraction(0))
     domain, path = plan_conf3_3(x, y)
     assert domain == 1
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
 
 
 def test_plan_rejects_non_finite_coordinates():
@@ -246,9 +253,9 @@ INF, NAN = float("inf"), float("nan")
     lambda: in_conf_complex((INF, INF, 0), SimplicialComplex.skeleton(3, 1)),
     lambda: validate_path(Path.through((INF, 1, 2), (0, 1, 2)), 3),
     # every pair of this segment is apart by float comparison alone
-    lambda: validate_path(Path.through((INF, 1.0, 2.0), (INF, 1.0, 2.0)), 3, strict=True),
+    lambda: validate_path(Path.through((INF, 1.0, 2.0), (INF, 1.0, 2.0)), 3),
     # checked before the first piece, which crosses the diagonal
-    lambda: validate_path(Path.through((0, 1, 2), (2, 1, 0), (NAN, 1, 2)), 3, strict=True),
+    lambda: validate_path(Path.through((0, 1, 2), (2, 1, 0), (NAN, 1, 2)), 3),
 ], ids=["inf-pair", "nan-triple", "inf-complex", "sampled-inf", "strict-inf",
         "strict-nan-after-a-crossing"])
 def test_non_finite_floats_are_not_in_space(call):
@@ -265,7 +272,7 @@ def test_non_numeric_coordinates_are_not_in_space(x, y):
     with pytest.raises(NotInSpace):
         plan_conf3_3(x, y)
     with pytest.raises(NotInSpace):
-        validate_path(Path.through(x, y), 3, strict=True)
+        validate_path(Path.through(x, y), 3)
 
 
 def test_membership_refuses_non_numeric_coordinates_and_a_non_integer_k():
@@ -297,14 +304,6 @@ def test_exact_coordinates_of_other_types_are_accepted():
     assert plan_conf3_3((Fraction(1, 3), 0, 1), (0, 1, 2))[0] in (0, 1)
 
 
-@pytest.mark.parametrize("samples", [2.5, 256.0, True, "256", None])
-def test_non_integer_samples_are_out_of_range(samples):
-    seg = Path.through((0, 1, 2), (5, 6, 7))
-    for strict in (False, True):
-        with pytest.raises(ParameterOutOfRange):
-            validate_path(seg, 3, samples=samples, strict=strict)
-
-
 _dyadic = st.builds(lambda n, m: n / 2 ** m,
                     st.integers(-2 ** 20, 2 ** 20), st.integers(0, 20))
 _coord = _dyadic | st.floats(-8, 8).filter(lambda v: v == 0 or abs(v) > 1e-6)
@@ -332,15 +331,15 @@ def test_plan_is_invariant_under_power_of_two_scaling(pair, j, j2):
     s = 2.0 ** j
     o = Fraction(j2, 2 ** 10)
     domain, path = plan_conf3_3(x, y)
-    verdict = validate_path(path, 3, strict=True)
+    verdict = validate_path(path, 3)
     scaled_domain, scaled_path = plan_conf3_3(tuple(s * v for v in x),
                                               tuple(s * v for v in y))
     assert scaled_domain == domain
-    assert validate_path(scaled_path, 3, strict=True) == verdict
+    assert validate_path(scaled_path, 3) == verdict
     moved_domain, moved_path = plan_conf3_3(tuple(Fraction(v) + o for v in x),
                                             tuple(Fraction(v) + o for v in y))
     assert moved_domain == domain
-    assert validate_path(moved_path, 3, strict=True) == verdict
+    assert validate_path(moved_path, 3) == verdict
 
 
 @st.composite
@@ -377,7 +376,7 @@ def test_plan_detour_is_finite_near_the_top_of_the_float_range(pair, i):
         return
     _, path = plan_conf3_3(x, y)
     assert all(math.isfinite(c) for pt in path.points for c in pt)
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
 
 
 @pytest.mark.parametrize("x,y", [
@@ -403,7 +402,7 @@ def test_plan_detour_is_finite_at_extreme_pairs(x, y):
     assert domain == 1
     assert {type(c) for c in path.points[1]} == {type(x[0])}
     assert all(math.isfinite(c) for pt in path.points for c in pt)
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
     want, _ = expected_waypoint(x, y, _exit_time(x, y, lambda c: len(c) < 3))
     assert repr(path.points[1]) == repr(want)
 
@@ -526,24 +525,25 @@ def test_a_decimal_crossing_pair_gets_an_exact_detour():
     assert domain == 1
     assert path.points[1] == (6, -3, 3)
     assert {type(c) for c in path.points[1]} == {Fraction}
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
     # with a float among them, the waypoint is p + u in floats
     domain, path = plan_conf3_3((0.5, *x[1:]), y)
     assert domain == 1 and path.points[1] == (6.0, -3.0, 3.0)
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
 
 
 def test_sampled_validation_takes_a_decimal_as_a_fraction():
-    # a Decimal next to a Fraction or a float cannot be subtracted from it
+    # a Decimal next to a Fraction or a float, which cannot be subtracted
+    # from it, is taken by its integer ratio
     x = (Decimal("0.5"), Decimal(1), Decimal(3))
     y = (Decimal("3.5"), Decimal(3), Decimal(1))
     detour = plan_conf3_3(x, y)[1]
     mixed = Path.through((Decimal(1), 0.0, 2.0), (0.5, 1.0, 2.0))
     for path in (detour, mixed):
-        assert validate_path(path, 3) is validate_path(path, 3, strict=True) is True
-    # t = 1/2 is a sample and the segment meets the diagonal there
+        assert validate_path(path, 3) is True
+    # the segment meets the diagonal at t = 1/2
     crossing = Path.through((Decimal(0), Decimal(1), Decimal(2)), (2.0, Fraction(1), 0.0))
-    assert validate_path(crossing, 3, samples=3) is validate_path(crossing, 3, strict=True) is False
+    assert validate_path(crossing, 3) is False
 
 
 def hash_classes(x):
@@ -577,89 +577,62 @@ def test_classes_of_mixed_types_match_hash_grouping(monkeypatch):
         kinds[key] = kinds.get(key, 0) + 1
     for types in ({int}, {float}, {int, float}, {int, float, Fraction, Decimal}):
         assert kinds.get(frozenset(types), 0) > 20, kinds
-    # neither the planner nor strict validation hashes a Fraction
+    # neither the planner nor validation hashes a Fraction
     monkeypatch.setattr(Fraction, "__hash__", None)
     x = (Fraction(1, 3), Fraction(2, 3), Fraction(1))
     domain, path = plan_conf3_3(x, tuple(1 - v for v in x))
-    assert domain == 1 and validate_path(path, 3, strict=True)
+    assert domain == 1 and validate_path(path, 3)
 
 
 def test_parallel_to_diagonal_is_direct():
     # y - x proportional to (1,1,1) can never reach the diagonal
     domain, path = plan_conf3_3((0, 1, 2), (5, 6, 7))
     assert domain == 0
-    assert validate_path(path, 3, strict=True)
+    assert validate_path(path, 3)
 
 
 def test_validate_catches_midpoint_collision():
     seg = Path.through((0, 1, 2), (2, 1, 0))
+    # the crossing at t = 1/2, whatever samples and strict say
+    assert not validate_path(seg, 3)
     assert not validate_path(seg, 3, strict=True)
-    # coarse sampling alone can also see this crossing
     assert not validate_path(seg, 3, samples=3)
+    # a crossing at t = 1/3, between the ends, the only two samples
+    assert not validate_path(Path.through((0, 1, 2), (3, 1, -1)), 3, samples=2)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e308, int(1e308)], ids=["1", "1e308", "int"])
 def test_sampling_sees_a_collision_whose_difference_overflows(scale):
-    # the segment meets (0, 0, 0) at t = 1/2, the middle of 257 samples;
-    # at 1e308 the difference b - a of the first two columns overflows
+    # the segment meets (0, 0, 0) at t = 1/2; at 1e308 the difference
+    # b - a of the first two coordinates is beyond the float range
     seg = Path(((scale, -scale, 0.0), (-scale, scale, 0.0)))
-    assert not validate_path(seg, 3, samples=257)
-    assert not sampled_validate_path(seg, 3, samples=257)
-    assert not validate_path(seg, 3, strict=True)
+    assert not validate_path(seg, 3)
+    assert not validate_path(seg, 3, samples=257, strict=True)
 
 
-def test_validate_rejects_exact_coordinates_beyond_float_range():
-    # only the sampled mode needs floats; the exact test decides the path
+def test_validate_accepts_exact_coordinates_beyond_float_range():
+    # the exact test needs no float, so decides this path too
     x = (0, 10**400, 1)
     _, path = plan_conf3_3(x, tuple(10 - v for v in x))
-    assert validate_path(path, 3, strict=True)
-    with pytest.raises(ParameterOutOfRange):
-        validate_path(path, 3)
+    assert validate_path(path, 3)
 
 
 def test_strict_validation_ignores_a_collision_made_by_rounding():
-    # the segment is exactly clear; its float sample at t = 1/2 rounds the
-    # last three coordinates to one value
+    # the segment is exactly clear; evaluated in floats at t = 1/2, its last
+    # three coordinates round to one value
     seg = Path.through(
         (738.2574616181769, 157.05195736675535, -222.36509603239222,
          -721.1010481726528, -753.4235034114778),
         (590.7641280483409, -1476.3005047689771, -1096.8834513698298,
          -598.1474992295691, -565.8250439907441))
-    assert validate_path(seg, 3, samples=9, strict=True)
-    assert not validate_path(seg, 3, samples=9)
+    assert not in_conf_k(tuple(a + (b - a) / 2 for a, b in zip(*seg.points)), 3)
+    assert validate_path(seg, 3)
+    assert validate_path(seg, 3, samples=9, strict=False)
 
 
 def test_validate_rejects_k_below_2_on_a_clear_path():
     with pytest.raises(ParameterOutOfRange):
         validate_path(Path.through((0, 1, 2), (3, 5, 4)), 1)
-
-
-def sampled_validate_path(path, constraint, samples=256):
-    """The sampled mode of validate_path, evaluated on the coordinates' own
-    types and checked with the public membership tests: every sample point,
-    the first and last of which are the segment's ends as floats, and a
-    column whose difference overflows sampled as (1 - t) a + t b."""
-    if samples < 2:
-        raise ParameterOutOfRange("samples must be >= 2")
-    dim = len(path.start)
-    if isinstance(constraint, SimplicialComplex):
-        if dim != constraint.n:
-            raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
-        member = lambda pt: in_conf_complex(pt, constraint)
-    else:
-        k = constraint
-        member = lambda pt: in_conf_k(pt, k)
-    for a, b in path.pieces:
-        for i in range(samples):
-            t = i / (samples - 1)
-            # a difference beyond the float range is sampled as a convex sum
-            pt = tuple(ai + t * (bi - ai) if abs(bi - ai) <= sys.float_info.max
-                       else (1 - t) * ai + t * bi for ai, bi in zip(a, b))
-            if i in (0, samples - 1):
-                pt = tuple(map(float, b if i else a))
-            if not member(pt):
-                return False
-    return True
 
 
 ORACLE_COMPLEXES = (
@@ -674,7 +647,7 @@ ORACLE_COMPLEXES = (
 def _oracle_coordinate(rng, kind, scale, grid):
     if kind == "float":
         return scale * rng.uniform(-1, 1)
-    if kind == "grid":  # dyadic, so sampled columns can meet exactly
+    if kind == "grid":  # dyadic, so coordinates can meet exactly
         return grid * rng.randint(-4, 4) / 4
     if kind == "int":
         return rng.randint(-3, 3)
@@ -682,7 +655,7 @@ def _oracle_coordinate(rng, kind, scale, grid):
 
 
 def oracle_cases(seed, count):
-    """A seeded stream of (path, constraint, samples): floats at scales
+    """A seeded stream of (path, constraint): floats at scales
     1e-12..1e6, ints, Fractions and mixtures, with forced collisions at
     endpoints, through a common point at t = 1/2, and along whole segments."""
     rng = random.Random(seed)
@@ -715,35 +688,18 @@ def oracle_cases(seed, count):
                 a[i], b[i] = a[block[0]], b[block[0]]
         elif force == 4:  # a constant segment
             points[s + 1] = list(a)
-        path = Path.through(*points)
-        yield path, constraint, rng.choice((2, 3, 8, 9, 64, 255, 256))
+        yield Path.through(*points), constraint
 
 
 def test_sampled_and_exact_validation_match_their_oracles():
-    checked = rejected = 0
-    for path, constraint, samples in oracle_cases(2026, 2000):
-        want = sampled_validate_path(path, constraint, samples)
-        got = validate_path(path, constraint, samples)
-        assert got == want, (path.points, constraint, samples)
+    rejected = 0
+    for path, constraint in oracle_cases(2026, 2000):
         want = all(pattern_exit_time(a, b, constraint) is None for a, b in path.pieces)
-        got_strict = validate_path(path, constraint, samples, strict=True)
-        assert got_strict == want, (path.points, constraint, samples)
-        checked += 2
-        rejected += (not got) + (not got_strict)
+        got = validate_path(path, constraint)
+        assert got == want, (path.points, constraint)
+        rejected += not got
     # the stream must exercise both verdicts
-    assert 0.2 < rejected / checked < 0.8
-
-
-def test_validate_path_memory_does_not_grow_with_samples():
-    seg = Path.through((0.0, 1.0, 2.0), (3.0, 5.0, 7.0))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        assert validate_path(seg, 3, samples=10**5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert 0.2 < rejected / 2000 < 0.8
 
 
 def fraction_collision_time(x, y, idxs):
@@ -864,7 +820,7 @@ def exit_time_cases(seed, count):
 def oracle_segments(seed, count):
     """The segments of oracle_cases, each with its complex, or with Conf_k
     for every k = 2..dim."""
-    for path, constraint, _ in oracle_cases(seed, count):
+    for path, constraint in oracle_cases(seed, count):
         dim = len(path.start)
         constraints = ([constraint] if isinstance(constraint, SimplicialComplex)
                        else range(2, dim + 1))
@@ -988,7 +944,7 @@ def test_the_float_filter_decides_random_pairs_and_declines_crossings(monkeypatc
         scale = 10.0 ** rng.uniform(-12, 6)
         x, y = (tuple(scale * rng.uniform(-1, 1) for _ in range(3)) for _ in range(2))
         domain, path = plan_conf3_3(x, y)
-        assert domain == 0 and validate_path(path, 3, strict=True)
+        assert domain == 0 and validate_path(path, 3)
     assert verdicts.count(False) == 0 and len(verdicts) == 800
     crossings = [((0.5, 1.5, 2.5), (2.5, 1.5, 0.5))]
     for _ in range(200):
@@ -1008,7 +964,7 @@ def test_the_float_filter_decides_random_pairs_and_declines_crossings(monkeypatc
         verdicts.clear()
         domain, path = plan_conf3_3(x, y)
         assert verdicts == [False] and domain == 1
-        assert validate_path(path, 3, strict=True)
+        assert validate_path(path, 3)
         planned += 1
     assert planned > 350
 
@@ -1016,7 +972,7 @@ def test_the_float_filter_decides_random_pairs_and_declines_crossings(monkeypatc
 def test_validate_with_complex_constraint():
     K = SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
     _, path = plan_conf3_3((0, 1, 2), (2, 1, 0))
-    assert validate_path(path, K, strict=True)
+    assert validate_path(path, K)
 
 
 def test_validate_with_a_complex_on_24_points():
@@ -1024,8 +980,8 @@ def test_validate_with_a_complex_on_24_points():
     x = tuple(range(24))
     # adjacent coordinates swap places: double collisions only
     clear = Path.through(x, tuple(v + 1 if v % 2 == 0 else v - 1 for v in x))
-    assert validate_path(clear, K, strict=True)
-    # the first three meet at t = 1/2, which is not a sample time
+    assert validate_path(clear, K)
+    # the first three meet at t = 1/2
     crossing = Path.through(x, (2, 1, 0) + x[3:])
-    assert validate_path(crossing, K)
-    assert not validate_path(crossing, K, strict=True)
+    assert not validate_path(crossing, K)
+    assert not validate_path(crossing, K)

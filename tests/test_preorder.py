@@ -25,7 +25,6 @@ from nokequal.preorder import (
     classify,
     compose,
     count_admissible,
-    discrete,
     elems_of,
     enumerate_admissible,
     enumerate_basic,
@@ -37,6 +36,11 @@ from nokequal.preorder import (
     to_matrix,
     to_string_form,
 )
+
+
+def discrete(n):
+    """The empty (discrete) preorder: a single Empty level holding 1..n."""
+    return make_preorder(n, [((1 << n) - 1, False)])
 
 
 def test_parse_roundtrip_examples():
