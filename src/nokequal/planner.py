@@ -99,7 +99,9 @@ class SimplicialComplex(Record):
         if n < 0:
             raise ParameterOutOfRange(f"vertex count {n} is not >= 0")
         for f in facets:
-            if not (isinstance(f, int) and f >= 0 and f >> n == 0):
+            if type(f) is not int:
+                check_ints(facet_mask=f)
+            if f < 0 or f >> n:
                 raise ParameterOutOfRange(f"facet mask {f!r:.24} outside 1..{n}")
         _set(self, "n", n)
         _set(self, "facets", facets)

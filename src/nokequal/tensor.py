@@ -95,7 +95,11 @@ def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
     other slot) form the TensorClass directly. The two halves share no
     tuple, since x_m's terms have degree 1, so their union is their GF(2)
     sum. Every call checks that z lies in the kernel of multiplication
-    (multiplication_image) and raises CertificateFailure otherwise."""
+    (multiplication_image) and raises CertificateFailure otherwise. The
+    check costs no normal form when z is right: its two halves join the
+    same factor masks term by term, and multiplication_image cancels equal
+    mask lists before it multiplies; any construction whose halves differ
+    leaves a list to multiply, and the check sees its product."""
     if (type(k) is not int or type(n) is not int or type(m) is not int
             or type(q) is not int or type(s) is not int):
         check_ints(k=k, n=n, m=m, q=q, s=s)
@@ -156,15 +160,24 @@ def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
 
 
 def multiplication_image(t: TensorClass) -> CohClass:
-    """Image under the s-fold cup multiplication map H^{⊗s} -> H: one
-    _product per term, over the tuple of its slots' factor masks joined
-    in slot order (_term_masks checks each slot's preorder)."""
+    """Image under the s-fold cup multiplication map H^{⊗s} -> H.
+
+    A term's image is the _product of its slots' factor masks joined
+    (_term_masks checks each slot's preorder). That product depends only on
+    the multiset of masks, since _close sorts them, so each term is keyed by
+    its sorted joined masks and equal keys cancel in pairs over GF(2) before
+    anything is multiplied: one _product runs per key left with an odd
+    count. This holds for every TensorClass; a zero-divisor z_{m,q} leaves
+    no key at all."""
     k, n = t.k, t.n
-    acc: set[StringPreorder] = set()
+    keys: set[tuple[tuple[int, int, int], ...]] = set()
     for tup in t.terms:
-        masks = ()
+        masks: list[tuple[int, int, int]] = []
         for p in tup:
             masks += _term_masks(p, k, n)
+        keys ^= {tuple(sorted(masks))}
+    acc: set[StringPreorder] = set()
+    for masks in keys:
         acc ^= _product(k, n, masks)
     return CohClass(k, n, frozenset(acc))
 
@@ -311,12 +324,20 @@ def _exhaustive_zcl(k: int, n: int) -> int:
     soon as some product of cap factors is nonzero. That is the value a
     full search would return, since no product is longer; when no product
     reaches cap, the search runs to the end and returns the true maximum.
-    Every divisor is built first, so each one's kernel check runs.
+
+    The structured factors z_{m,1} of _structured_factors(k, n // k, 2), on
+    which zcl_lower's certificate rests, are built first. Every other
+    divisor is built the first time the search multiplies by it, so each
+    divisor is built, and kernel-checked, at most once per call; a search
+    that stops at cap never builds the divisors it does not reach, and one
+    that runs to the end builds them all.
     """
     ms = [(m, primed)
           for m in range(1, n - k + 3)
           for primed in ((False, True) if m >= 2 else (False,))]
-    divisors = [y(k, n, m, primed) for m, primed in ms]
+    divisors: list[TensorClass | None] = [None] * len(ms)
+    for m, _ in _structured_factors(k, n // k, 2):
+        divisors[ms.index((m, False))] = y(k, n, m)
     cap = 2 * (n // k)
     best = 0
     # path holds (product, index of its last factor) for each depth
@@ -324,7 +345,10 @@ def _exhaustive_zcl(k: int, n: int) -> int:
     j = 0
     while True:
         if j < len(divisors):
-            prod = tensor_cup(path[-1][0], divisors[j]) if path else divisors[j]
+            z = divisors[j]
+            if z is None:
+                z = divisors[j] = y(k, n, *ms[j])
+            prod = tensor_cup(path[-1][0], z) if path else z
             if prod:
                 path.append((prod, j))
                 best = max(best, len(path))
@@ -344,9 +368,9 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     n < k are contractible and give 0. Every other bound is backed by a
     nonzero product of the structured factors (_structured_factors), each
     built by zero_divisor, so each one's kernel check runs. Each divisor
-    is built once per call: where the exhaustive search below runs, it
-    builds every y_m and y'_m, the structured factors among them, and they
-    are not built a second time.
+    is built at most once per call: where the exhaustive search below runs,
+    it builds the structured factors first and any other y_m or y'_m only
+    when it first multiplies by it, and nothing is built a second time.
 
     For n > k the product is all s*i of them, i = floor(n/k), and it is
     certified nonzero by one coefficient: that of the designated term
@@ -384,7 +408,7 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     i = n // k
     searched = s == 2 and n <= 2 * k
     if not searched:
-        # the search below builds every y_m and y'_m, these among them
+        # when the search below runs, it builds these itself, first
         for m, q in _structured_factors(k, i, s):
             zero_divisor(k, n, m, q, s)
     term = expected_witness_term(k, n, i, s)

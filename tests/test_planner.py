@@ -76,10 +76,12 @@ def test_complex_downward_closure_from_facets():
     lambda: SimplicialComplex.from_facets("3", [[1, 2]]),
     lambda: SimplicialComplex.skeleton(True, 1),
     lambda: SimplicialComplex.from_facets(3, [[True, 2]]),
+    lambda: SimplicialComplex(3, (True, 6)),
+    lambda: SimplicialComplex(3, (1.0,)),
 ], ids=["vertex 0", "vertex 4", "vertex 1.5", "vertex 'a'", "vertex -1",
         "skeleton dim -1", "skeleton n -1", "n -1", "mask beyond n", "negative mask",
         "skeleton n 'a'", "skeleton n 3.0", "from_facets n '3'", "skeleton n True",
-        "vertex True"])
+        "vertex True", "mask True", "mask 1.0"])
 def test_complex_input_is_checked_at_the_boundary(build):
     with pytest.raises(ParameterOutOfRange):
         build()

@@ -1,6 +1,6 @@
 import inspect
 import random
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,13 +262,11 @@ def test_zcl_lower_multiplies_no_tensor_product_above_n_equals_k(monkeypatch, k,
     assert sorted(built) == sorted((k, n, m, q, s) for m, q in _structured_factors(k, n // k, s))
 
 
-@pytest.mark.parametrize("k,n", [(3, n) for n in (4, 5, 6)] + [(4, n) for n in (5, 6, 7, 8)])
-def test_zcl_lower_builds_each_divisor_once(monkeypatch, k, n):
-    # the exhaustive search builds every y-type divisor, the structured
-    # factors among them, and zcl_lower builds none of them a second time;
-    # each build runs its kernel check
-    built, checked = [], []
-    real, real_image = tensor.zero_divisor, tensor.multiplication_image
+def _record_builds(monkeypatch):
+    """Patch zero_divisor to append each call's full arguments, defaults
+    applied, to the returned list."""
+    built = []
+    real = tensor.zero_divisor
     signature = inspect.signature(real)
 
     def counting(*args, **kwargs):
@@ -277,19 +275,56 @@ def test_zcl_lower_builds_each_divisor_once(monkeypatch, k, n):
         built.append(tuple(bound.arguments.values()))
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(tensor, "zero_divisor", counting)
+    return built
+
+
+@pytest.mark.parametrize("k,n", [(3, n) for n in (4, 5, 6)] + [(4, n) for n in (5, 6, 7, 8)])
+def test_zcl_lower_builds_each_divisor_once(monkeypatch, k, n):
+    # the exhaustive search builds the structured factors first and any
+    # other y-type divisor only when it first multiplies by it, and
+    # zcl_lower builds none of them a second time; each build runs its
+    # kernel check
+    built, checked = _record_builds(monkeypatch), []
+    real_image = tensor.multiplication_image
+
     def checking(t):
         checked.append(t)
         return real_image(t)
 
-    monkeypatch.setattr(tensor, "zero_divisor", counting)
     monkeypatch.setattr(tensor, "multiplication_image", checking)
     assert zcl_lower(k, n, 2) == 2 * (n // k)
     assert len(built) == len(set(built)) == len(checked)
     assert {(k, n, m, q, 2, False) for m, q in _structured_factors(k, n // k, 2)} <= set(built)
 
 
+@pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5) for n in range(k + 1, 2 * k)])
+def test_zcl_lower_builds_only_the_divisors_its_search_reaches(monkeypatch, k, n):
+    # below n = 2k the search stops at its first product of two factors,
+    # y_1 y_2, and never reaches y_{n-k+2} or y'_{n-k+2}, its last divisors
+    built = _record_builds(monkeypatch)
+    assert zcl_lower(k, n, 2) == 2
+    assert {(k, n, m, 1, 2, False) for m in (1, 2)} <= set(built)
+    assert all(m != n - k + 2 for _, _, m, _, _, _ in built), built
+
+
 def test_a_divisor_outside_the_kernel_fails_the_report(monkeypatch):
     monkeypatch.setattr(tensor, "multiplication_image", lambda t: CohClass.unit(t.k, t.n))
+    (cert,) = [c for c in invariant_report(3, 6, 2).certificates if c.name == "zcl_lower"]
+    assert cert.status == "fail" and cert.value is None
+    assert cert.note == "zero-divisor escaped the kernel of multiplication"
+
+
+def test_a_divisor_built_wrong_fails_the_report(monkeypatch):
+    # zero_divisor keeps only its slot-q half, x_m (x) 1; the kernel check
+    # itself is left as it is and sees x_m's image
+    real = tensor.TensorClass
+
+    def slot_q_half(k, n, s, terms):
+        return real(k, n, s, frozenset(t for t in terms
+                                       if not any(full for _, full in t[-1].levels)))
+
+    monkeypatch.setattr(tensor, "TensorClass", slot_q_half)
     (cert,) = [c for c in invariant_report(3, 6, 2).certificates if c.name == "zcl_lower"]
     assert cert.status == "fail" and cert.value is None
     assert cert.note == "zero-divisor escaped the kernel of multiplication"
@@ -381,6 +416,52 @@ def _reference_multiplication_image(t):
     return out
 
 
+def _broken_divisors(k, n, s):
+    """Divisors built wrong on purpose, with the reference's classes: x_m in
+    slot q with x'_m in slot s, and x_m in slot q alone."""
+    one = CohClass.unit(k, n)
+    for m in range(1, n - k + 3):
+        x = normalize(make_x(m, k, n), k)
+        for q in range(1, s):
+            first = pure([x if j == q else one for j in range(1, s + 1)], k, n)
+            yield first
+            x_primed = normalize(make_x(m, k, n, True), k) if m >= 2 else x
+            if x_primed != x:
+                yield first + pure([x_primed if j == s else one for j in range(1, s + 1)], k, n)
+
+
+@pytest.mark.parametrize("k,n,s", [(3, n, s) for n in range(3, 8) for s in (2, 3, 4)]
+                         + [(4, n, s) for n in range(4, 10) for s in (2, 3)]
+                         + [(5, 11, 3)])
+def test_a_divisor_kernel_check_makes_no_product(monkeypatch, k, n, s):
+    # the two halves of z_{m,q} join the same factor masks term by term, so
+    # multiplication_image cancels every term before it multiplies; a
+    # broken divisor leaves terms, and those are multiplied
+    inside, checked, products = [], [], []
+    real_image, real_product = tensor.multiplication_image, tensor._product
+
+    def image(t):
+        checked.append(t)
+        inside.append(t)
+        try:
+            return real_image(t)
+        finally:
+            inside.pop()
+
+    def counting(k, n, masks):
+        if inside:
+            products.append(inside[-1])
+        return real_product(k, n, masks)
+
+    monkeypatch.setattr(tensor, "multiplication_image", image)
+    monkeypatch.setattr(tensor, "_product", counting)
+    divisors = _divisors(k, n, s)
+    assert len(checked) == len(divisors) and products == []
+    for broken in _broken_divisors(k, n, s):
+        assert image(broken)
+        assert products and products[-1] is broken
+
+
 def _seeded_pure_classes(rng, k, n, s, count):
     """Pure tensors of sums of up to three basic preorders, with slot
     degrees adding up to at most floor(n/k) so the image can be nonzero."""
@@ -406,6 +487,54 @@ def test_multiplication_image_matches_the_slot_by_slot_chain(k, n, s):
     assert nonzero >= 10
     for z in _divisors(k, n, s):
         assert multiplication_image(z) == _reference_multiplication_image(z)
+    for t in _broken_divisors(k, n, s):
+        image = multiplication_image(t)
+        assert image and image == _reference_multiplication_image(t), str(t)
+
+
+def _permuted_terms(rng, k, n, s, basics):
+    """Slot permutations of one s-tuple, such as a(x)b + b(x)a: distinct
+    terms whose joined factor masks agree up to order. The tuple's degrees
+    add up to 2..floor(n/k), and it is redrawn, up to a point, until its
+    entries' product is nonzero; an entry may repeat. A term may also hold
+    in its first slot a basic term of that product, whose masks can be the
+    same list again."""
+    one = basics[0][0]
+    for _ in range(20):
+        degrees = [0] * s
+        for _ in range(rng.randint(2, n // k)):
+            degrees[rng.randrange(s)] += 1
+        entries = [rng.choice(basics[d]) for d in degrees]
+        masks = [m for p in entries for m in cohomology._term_masks(p, k, n)]
+        closed = sorted(cohomology._product(k, n, masks), key=str)
+        if closed:
+            break
+    perms = sorted(set(permutations(entries)), key=str)
+    terms = set(rng.sample(perms, rng.randint(1, len(perms))))
+    if closed and rng.random() < 0.5:
+        terms ^= {(rng.choice(closed),) + (one,) * (s - 1)}
+    return terms
+
+
+def _seeded_permuted_classes(rng, k, n, s, count):
+    """Sums of two sets of _permuted_terms."""
+    basics = {d: list(enumerate_basic(k, n, d)) for d in range(n // k + 1)}
+    for _ in range(count):
+        terms = _permuted_terms(rng, k, n, s, basics) ^ _permuted_terms(rng, k, n, s, basics)
+        yield TensorClass(k, n, s, frozenset(terms))
+
+
+@pytest.mark.parametrize("k,n,s", [(3, n, s) for n in (6, 7, 9) for s in (2, 3)]
+                         + [(4, n, s) for n in (8, 9) for s in (2, 3)])
+def test_multiplication_image_cancels_permuted_mask_lists_exactly(k, n, s):
+    rng = random.Random(7000 + 100 * k + 10 * n + s)
+    zero = nonzero = 0
+    for t in _seeded_permuted_classes(rng, k, n, s, 40):
+        image = multiplication_image(t)
+        assert image == _reference_multiplication_image(t), str(t)
+        nonzero += bool(image)
+        zero += len(t.terms) > 1 and not image
+    assert nonzero >= 5 and zero >= 5, (nonzero, zero)
 
 
 def test_tensor_class_refuses_a_ring_outside_the_range():
@@ -454,7 +583,8 @@ def test_zcl_search_stops_at_the_bound(monkeypatch, k, n):
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4) for n in range(k + 1, 2 * k + 1)])
 def test_zcl_search_runs_to_the_end_when_the_bound_is_unreachable(monkeypatch, k, n):
     # Every product of cap factors is set to zero, so the longest nonzero
-    # product has cap - 1 factors and the search must find no more.
+    # product has cap - 1 factors and the search must find no more; running
+    # to the end, it builds every y_m and y'_m, each once.
     cap = 2 * (n // k)
     real = tensor.tensor_cup
 
@@ -467,8 +597,11 @@ def test_zcl_search_runs_to_the_end_when_the_bound_is_unreachable(monkeypatch, k
     monkeypatch.setattr(tensor, "tensor_cup", capped)
     monkeypatch.setitem(globals(), "tensor_cup", capped)
     assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == cap - 1
+    built = _record_builds(monkeypatch)
     with pytest.raises(CertificateFailure):
         zcl_lower(k, n, 2)
+    assert sorted(built) == [(k, n, m, 1, 2, primed) for m in range(1, n - k + 3)
+                             for primed in ((False, True) if m >= 2 else (False,))]
 
 
 def test_zcl_search_disagreement_is_a_certificate_failure(monkeypatch):
