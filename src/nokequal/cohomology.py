@@ -31,7 +31,6 @@ from .preorder import (
     admissible_blocks,
     check_degree_params,
     check_domain,
-    check_ints,
     check_ring,
     count_admissible,
     elems_of,
@@ -65,8 +64,6 @@ class CohClass(Record):
     @classmethod
     def unit(cls, k: int, n: int) -> "CohClass":
         """The class of the discrete preorder (1..n), the memo's basic term."""
-        if type(k) is not int or type(n) is not int:
-            check_ints(k=k, n=n)
         check_ring(k, n)
         return cls(k, n, _nf(k, n, (((1 << n) - 1, False),)))
 

@@ -24,14 +24,14 @@ goes to the rational route, which is the only one that returns a time.
 So answers do not depend on which route decided.
 
 Exact arithmetic is integer arithmetic: the rational route of _exit_time
-and the planner's detour waypoint put every coordinate of a segment over
-one common denominator (_over_common_denominator), and _classes groups
-exact values by their integer ratios, so no Fraction is hashed. fractions
-(which loads decimal and numbers) is imported inside _detour_waypoint, the
-one function that builds a Fraction, for the waypoint it returns and, when
-a coordinate is a float, for its time t; it runs only for a segment that
-crosses the diagonal: at module top it took about a fifth of `import
-nokequal`, which every CLI call pays for."""
+puts every coordinate of a segment over one common denominator
+(_over_common_denominator), the planner hands that frame on to its detour
+waypoint, and _classes groups exact values by their integer ratios, so no
+Fraction is hashed. The waypoint is rounded once, from integers: to floats
+when a coordinate is a float, else to Fractions. So fractions (which loads
+decimal and numbers) is imported only inside _detour_waypoint, for an
+exact waypoint: at module top it took about a fifth of `import nokequal`,
+which every CLI call pays for."""
 
 from __future__ import annotations
 
@@ -307,17 +307,24 @@ def _exit_time(x: Configuration, y: Configuration,
     answers None, and only where the exact route would, so the answer
     does not depend on which route decided it.
 
-    The exact route uses rational arithmetic throughout: every
-    coordinate, a float included, is the rational it denotes, and all 2n
-    are put over one common denominator den once; at t = a/b coordinate l
-    is (x_l (b - a) + y_l a) / (den b). The answer does not depend on
-    scale: the boundary between the planner's domains is measure zero,
-    where a tolerance would decide it by scale.
+    The exact route (_exact_exit_time) uses rational arithmetic
+    throughout: every coordinate, a float included, is the rational it
+    denotes, and all 2n are put over one common denominator den once; at
+    t = a/b coordinate l is (x_l (b - a) + y_l a) / (den b). The answer
+    does not depend on scale: the boundary between the planner's domains
+    is measure zero, where a tolerance would decide it by scale.
     """
     if _clear_in_floats(x, y, ok):
         return None
-    n = len(x)
     _, xs, ys = _over_common_denominator(x, y)
+    return _exact_exit_time(xs, ys, ok)
+
+
+def _exact_exit_time(xs: list[int], ys: list[int],
+                     ok: Callable[[list[int]], bool]) -> Optional[tuple[int, int]]:
+    """_exit_time's exact route, on the numerators xs and ys of a segment's
+    coordinates over their common denominator (_over_common_denominator)."""
+    n = len(xs)
     best = None  # the first bad time found so far, (a, b) with b > 0
     for i in range(n - 1):
         xi, yi = xs[i], ys[i]
@@ -342,15 +349,16 @@ def _exit_time(x: Configuration, y: Configuration,
     return best
 
 
-# exact bound of the float range: int, float and Fraction values compare
-# with an int exactly, and NaN compares false
+# exact bound of the float range, which the waypoint's integers compare with
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _detour_waypoint(x: Configuration, y: Configuration, at: tuple[int, int]) -> tuple:
+def _detour_waypoint(den: int, xs: list[int], ys: list[int], at: tuple[int, int],
+                     rounded: bool) -> tuple:
     """The waypoint of the detour around the diagonal, which the segment
     [x, y] crosses at time t = a/b, given as the pair at = (a, b) that
-    _exit_time returns.
+    _exact_exit_time returns, with x_l = xs[l]/den and y_l = ys[l]/den
+    (_over_common_denominator). Floats if rounded, else Fractions.
 
     A waypoint w gives a clear detour if it is off the plane through the
     diagonal and x (the plane holds y too): each detour segment then has
@@ -361,66 +369,42 @@ def _detour_waypoint(x: Configuration, y: Configuration, at: tuple[int, int]) ->
     w = r p + s u with s != 0 is off the plane.
 
     The waypoint is p + u when every coordinate of it is in the float
-    range. With the coordinates over one common denominator den
-    (_over_common_denominator), x_l = X_l/den, y_l = Y_l/den and
-    u_l = U_l/den, U = cross(Y - X, (1,1,1)), so in integers
+    range. With u_l = U_l/den, U = cross(Y - X, (1,1,1)), X = xs, Y = ys,
+    in integers
 
         w_l = N_l / (den b),  N_l = (b - a) X_l + a Y_l + b U_l,
 
-    and w is in range iff |N_l| <= _FLOAT_MAX den b for every l. When no
-    coordinate is a float, this w is returned as Fractions. When one is,
-    p + u is taken in the coordinates' own arithmetic with t a Fraction
-    (a coordinate that is neither an int, a float nor a Fraction, such as
-    a Decimal, taken as a Fraction), which gives floats: an overflow there
-    leaves an inf or NaN in it, or raises OverflowError where an exact
-    value beyond the float range meets a float.
-
+    and w is in range iff |N_l| <= _FLOAT_MAX den b for every l.
     Otherwise the waypoint is (p + (c/m) u) / 2, with c the largest
     |coordinate| of x and y and m that of u: both summands are at most c
     in size, so the waypoint is too, and it lies c/2 or more from the
     plane. With C = c den and M = m den, the largest |X_l|, |Y_l| and
     |U_l|, c/m = C/M, and in integers
 
-        w_l = ((b - a) X_l M + a Y_l M + b C U_l) / (2 den b M),
+        w_l = ((b - a) X_l M + a Y_l M + b C U_l) / (2 den b M).
 
-    returned as Fractions, or rounded once to floats if a coordinate is a
-    float; each rounding moves a coordinate by at most 2^-53 c, so the
-    rounded waypoint is off the plane as well. A small multiple of u would
-    not do: scaled down far enough to keep p + u in range, it may round
-    to zero.
+    Either w stays exact, integer numerators over one denominator, until
+    it is rounded once at the end: to Fractions, or if rounded to floats
+    by int division, which gives the nearest float to each w_l, finite as
+    w_l is in the float range. For the rescaled w each rounding moves a
+    coordinate by at most 2^-53 c, so it stays off the plane as well. A
+    small multiple of u would not do: scaled down far enough to keep
+    p + u in range, it may round to zero.
     """
-    from fractions import Fraction
-
     a, b = at
-    rounded = any(isinstance(v, float) for v in chain(x, y))
-    if rounded:
-        t = Fraction(a, b)
-        s = 1 - t
-        x, y = ([v if isinstance(v, (int, float, Fraction)) else Fraction(*v.as_integer_ratio())
-                 for v in z] for z in (x, y))
-        try:
-            d1, d2, d3 = (yl - xl for xl, yl in zip(x, y))
-            w = tuple(s * xl + t * yl + ul
-                      for xl, yl, ul in zip(x, y, (d2 - d3, d3 - d1, d1 - d2)))
-            if all(-_FLOAT_MAX <= wl <= _FLOAT_MAX for wl in w):
-                return w
-        except OverflowError:  # an exact value beyond the float range met a float
-            pass
-    den, xs, ys = _over_common_denominator(x, y)
     d1, d2, d3 = (yl - xl for xl, yl in zip(xs, ys))
     us = (d2 - d3, d3 - d1, d1 - d2)
     r = b - a
-    if not rounded:
-        q = den * b
-        nums = [r * xl + a * yl + b * ul for xl, yl, ul in zip(xs, ys, us)]
-        if max(map(abs, nums)) <= _FLOAT_MAX * q:
-            return tuple(Fraction(nl, q) for nl in nums)
-    big_c = max(map(abs, chain(xs, ys)))
-    big_m = max(map(abs, us))
-    q = 2 * den * b * big_m
-    nums = [(r * xl + a * yl) * big_m + b * big_c * ul for xl, yl, ul in zip(xs, ys, us)]
+    q = den * b
+    nums = [r * xl + a * yl + b * ul for xl, yl, ul in zip(xs, ys, us)]
+    if max(map(abs, nums)) > _FLOAT_MAX * q:
+        big_c = max(map(abs, chain(xs, ys)))
+        big_m = max(map(abs, us))
+        q *= 2 * big_m
+        nums = [(r * xl + a * yl) * big_m + b * big_c * ul for xl, yl, ul in zip(xs, ys, us)]
     if rounded:
         return tuple(nl / q for nl in nums)
+    from fractions import Fraction
     return tuple(Fraction(nl, q) for nl in nums)
 
 
@@ -431,9 +415,11 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     the segment crosses the diagonal at p; detour through p + u where u is
     the cross product of y - x with (1,1,1). u is orthogonal to the
     diagonal's direction and nonzero, so the waypoint (and hence both
-    detour segments) stays clear of the diagonal. Where p + u leaves the
-    float range the waypoint is a rescaled p + u inside it; see
-    _detour_waypoint.
+    detour segments) stays clear of the diagonal. The crossing is
+    _exit_time's, and the common-denominator frame of its exact route is
+    built once and also gives the waypoint: the exact p + u, or a rescaled
+    p + u where that leaves the float range, rounded once to floats when a
+    coordinate is a float; see _detour_waypoint.
     """
     if len(x) != 3 or len(y) != 3:
         raise DimensionMismatch("planner works on 3 coordinates")
@@ -441,10 +427,13 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     ok = _class_rule(3, 3)
     if not all(map(ok, chain(_classes(x, exact_x), _classes(y, exact_y)))):
         raise NotInSpace("endpoint has a triple collision")
-    t = _exit_time(x, y, ok)
-    if t is None:
-        return 0, Path.through(x, y)
-    return 1, Path.through(x, _detour_waypoint(x, y, t), y)
+    if not _clear_in_floats(x, y, ok):
+        den, xs, ys = _over_common_denominator(x, y)
+        at = _exact_exit_time(xs, ys, ok)
+        if at is not None:
+            rounded = any(isinstance(v, float) for v in chain(x, y))
+            return 1, Path.through(x, _detour_waypoint(den, xs, ys, at, rounded), y)
+    return 0, Path.through(x, y)
 
 
 def validate_path(path: Path, constraint: Union[int, SimplicialComplex],

@@ -453,16 +453,19 @@ def _assemble(n: int, parts: Sequence[tuple[int, bool]]) -> StringPreorder:
 
 
 def check_ring(k: int, n: int) -> None:
-    """Raise ParameterOutOfRange unless 3 <= k <= n <= MAX_N."""
+    """Raise ParameterOutOfRange unless k and n are integers with
+    3 <= k <= n <= MAX_N."""
+    if type(k) is not int or type(n) is not int:
+        check_ints(k=k, n=n)
     if not 3 <= k <= n <= MAX_N:
         raise ParameterOutOfRange(f"need 3 <= k <= n <= {MAX_N}, got k={k}, n={n}")
 
 
 def check_ints(**params) -> None:
     """Raise ParameterOutOfRange unless every value is an int; a float or a
-    bool is not one. The public entry points check their parameters once,
-    at the boundary; check_ring, which the per-term constructors run, does
-    not. Building the keyword dict costs several times what the range
+    bool is not one. The public entry points check their parameters at the
+    boundary, and check_ring, which the per-term constructors run, checks k
+    and n. Building the keyword dict costs several times what the range
     checks do, so callers test `type(v) is int` first and call this only
     when that fails (an int subclass other than bool then passes here)."""
     for name, v in params.items():
@@ -490,9 +493,9 @@ def check_domain(k: int, n: int) -> None:
 def check_degree_params(k: int, n: int, d: int) -> None:
     """Raise ParameterOutOfRange unless k, n and d are integers with
     3 <= k <= n <= MAX_N and d >= 0."""
-    if type(k) is not int or type(n) is not int or type(d) is not int:
-        check_ints(k=k, n=n, d=d)
     check_ring(k, n)
+    if type(d) is not int:
+        check_ints(d=d)
     if d < 0:
         raise ParameterOutOfRange("d must be non-negative")
 
@@ -572,8 +575,8 @@ def count_admissible(k: int, n: int, d: int) -> int:
 def _x_masks(m: int, k: int, n: int, primed: bool = False) -> tuple[int, int, int]:
     """Masks (I, J, K) of the generator x_m, or x'_m when primed, in closed
     form: I = 1..m-1, J = m..m+k-2 and K = m+k-1..n, and for x'_m the
-    elements m-1 and m trade places between I and J. Checks the ring and
-    the index (ParameterOutOfRange, IndexOutOfRange), not the types."""
+    elements m-1 and m trade places between I and J. Checks the ring
+    (ParameterOutOfRange) and the index (IndexOutOfRange), not m's type."""
     check_ring(k, n)
     if m < 1 or m + k > n + 2:
         raise IndexOutOfRange(f"need 1 <= m and m+k <= n+2, got m={m}, k={k}, n={n}")

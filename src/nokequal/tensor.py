@@ -45,6 +45,10 @@ class TensorClass(Record):
 
     def __init__(self, k: int, n: int, s: int, terms: frozenset[tuple[StringPreorder, ...]]):
         check_ring(k, n)
+        if type(s) is not int:
+            check_ints(s=s)
+        if s < 1:
+            raise ParameterOutOfRange(f"tensor power s={s} is not >= 1")
         for t in terms:
             if len(t) != s:
                 raise AmbientMismatch(f"term of length {len(t)} in power {s}")
@@ -59,6 +63,8 @@ class TensorClass(Record):
 
     @classmethod
     def unit(cls, k: int, n: int, s: int) -> "TensorClass":
+        if type(s) is not int:
+            check_ints(s=s)
         (one,) = CohClass.unit(k, n).terms
         return cls(k, n, s, frozenset([(one,) * s]))
 

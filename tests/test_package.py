@@ -80,7 +80,7 @@ def _modules_added(statements: str) -> set:
 
 
 # loaded only by the calls that need them: JSON and CSV output, JSON input,
-# and a plan that crosses the diagonal (fractions brings decimal and numbers)
+# and an exact waypoint (fractions brings decimal and numbers)
 DEFERRED = {"json", "csv", "fractions", "decimal", "numbers"}
 
 
@@ -102,6 +102,15 @@ def test_betti_command_loads_no_json_csv_or_fractions():
     added = _modules_added('from nokequal.cli import main; '
                            'main(["betti", "--k", "3", "--n", "6", "--d", "1"])')
     assert "nokequal.cli" in added
+    assert sorted(DEFERRED & added) == []
+
+
+def test_a_float_detour_loads_no_fractions():
+    # the crossing and its waypoint are integer arithmetic, rounded to floats
+    added = _modules_added("from nokequal.planner import plan_conf3_3, validate_path; "
+                           "domain, path = plan_conf3_3((0.5, 1.5, 2.5), (2.5, 1.5, 0.5)); "
+                           "domain == 1 and validate_path(path, 3) or sys.exit(1)")
+    assert "nokequal.planner" in added
     assert sorted(DEFERRED & added) == []
 
 

@@ -395,8 +395,8 @@ def test_plan_detour_is_finite_near_the_top_of_the_float_range(pair, i):
     # is 2^1024 (1, -1, 1)
     (tuple(Fraction(v, 3) * 2 ** 1024 for v in (0, 1, 2)),
      tuple(Fraction(v, 3) * 2 ** 1024 for v in (2, 1, 0))),
-    # a float among int coordinates whose differences pass the float
-    # range: p + u in floats raises OverflowError, so it is rescaled
+    # a float among int coordinates whose p + u, 2^1024 (-2, 1, 1), is
+    # beyond the float range: rescaled, then rounded once to floats
     ((0.0, 2 ** 1023, -2 ** 1023), (-0.0, -2 ** 1023, 2 ** 1023)),
 ])
 def test_plan_detour_is_finite_at_extreme_pairs(x, y):
@@ -412,52 +412,24 @@ def test_plan_detour_is_finite_at_extreme_pairs(x, y):
 FLOAT_MAX = int(sys.float_info.max)
 
 
-def reference_crossing_and_normal(x, y, t):
-    """The point p = (1 - t) x + t y where [x, y] crosses the diagonal at
-    the Fraction t, and u = cross(y - x, (1,1,1)), in the coordinates' own
-    arithmetic."""
-    s = 1 - t
-    d1, d2, d3 = (yi - xi for xi, yi in zip(x, y))
-    return [s * xi + t * yi for xi, yi in zip(x, y)], (d2 - d3, d3 - d1, d1 - d2)
-
-
-def reference_detour_waypoint(x, y, at):
-    """The detour waypoint in Fraction arithmetic: p + u in the
-    coordinates' own arithmetic if it is in the float range, else
-    (p + (c/m) u) / 2 over the rationals, rounded to floats if a
+def expected_waypoint(x, y, at):
+    """The detour waypoint and its route, in Fraction arithmetic: "p + u",
+    where [x, y] crosses the diagonal at p at t = a/b, at = (a, b), and
+    u = cross(y - x, (1,1,1)), if it is in the float range; else
+    "rescaled", (p + (c/m) u) / 2, with c the largest |coordinate| and m
+    the largest |u_l|. The waypoint is rounded once to floats if a
     coordinate is a float (see planner._detour_waypoint)."""
-    t = Fraction(*at)
-    w = tuple(pi + ui for pi, ui in zip(*reference_crossing_and_normal(x, y, t)))
-    if all(-FLOAT_MAX <= wi <= FLOAT_MAX for wi in w):
-        return w
-    return reference_rescaled_waypoint(x, y, t)
-
-
-def reference_rescaled_waypoint(x, y, t):
-    """(p + (c/m) u) / 2 over the rationals, rounded to floats if a
-    coordinate is a float."""
     rounded = any(isinstance(v, float) for v in chain(x, y))
     x, y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
-    c = max(map(abs, chain(x, y)))
-    p, u = reference_crossing_and_normal(x, y, t)
-    lam = c / max(map(abs, u))
-    w = tuple((pi + lam * ui) / 2 for pi, ui in zip(p, u))
-    return tuple(map(float, w)) if rounded else w
-
-
-def expected_waypoint(x, y, at):
-    """The reference waypoint and its route: "p + u", "rescaled", or
-    "overflow" where an exact value beyond the float range meets a float
-    in p + u, for which the reference raises OverflowError and the planner
-    takes the rescaled waypoint."""
     t = Fraction(*at)
-    try:
-        p, u = reference_crossing_and_normal(x, y, t)
-        want = reference_detour_waypoint(x, y, at)
-    except OverflowError:
-        return reference_rescaled_waypoint(x, y, t), "overflow"
-    in_range = all(-FLOAT_MAX <= pi + ui <= FLOAT_MAX for pi, ui in zip(p, u))
-    return want, "p + u" if in_range else "rescaled"
+    d1, d2, d3 = (yi - xi for xi, yi in zip(x, y))
+    u = (d2 - d3, d3 - d1, d1 - d2)
+    p = [(1 - t) * xi + t * yi for xi, yi in zip(x, y)]
+    w, route = tuple(pi + ui for pi, ui in zip(p, u)), "p + u"
+    if not all(-FLOAT_MAX <= wi <= FLOAT_MAX for wi in w):
+        lam = max(map(abs, chain(x, y))) / max(map(abs, u))
+        w, route = tuple((pi + lam * ui) / 2 for pi, ui in zip(p, u)), "rescaled"
+    return tuple(map(float, w)) if rounded else w, route
 
 
 def _detour_coordinate(rng, kind):
@@ -511,13 +483,35 @@ def test_detour_waypoint_matches_the_fraction_reference():
     routes = {}  # (has a float, route) -> cases
     for x, y, at in detour_cases(31, 3000):
         want, route = expected_waypoint(x, y, at)
-        assert repr(planner._detour_waypoint(x, y, at)) == repr(want), (x, y, at)
-        key = any(isinstance(v, float) for v in chain(x, y)), route
-        routes[key] = routes.get(key, 0) + 1
+        rounded = any(isinstance(v, float) for v in chain(x, y))
+        got = planner._detour_waypoint(*planner._over_common_denominator(x, y), at, rounded)
+        assert repr(got) == repr(want), (x, y, at)
+        routes[rounded, route] = routes.get((rounded, route), 0) + 1
     # every route, exact and float, in range and rescaled, is exercised
     assert {key for key, count in routes.items() if count > 100} == \
         {(False, "p + u"), (False, "rescaled"), (True, "p + u"), (True, "rescaled")}, routes
-    assert routes.get((True, "overflow"), 0) > 0, routes
+
+
+def test_a_float_waypoint_is_the_exact_one_rounded_once():
+    # p + u is (22104.75, 21954.75, 22317.75) exactly; rounding each float
+    # step would give 22104.749999999996 and 22317.749999999996
+    x, y = (-31, 33, 26), (66439.25, 66311.25, 66325.25)
+    domain, path = plan_conf3_3(x, y)
+    assert domain == 1
+    assert repr(path.points[1]) == "(22104.75, 21954.75, 22317.75)"
+    assert validate_path(path, 3)
+
+
+def test_an_exact_crossing_is_put_over_its_common_denominator_once(monkeypatch):
+    calls = []
+    frame = planner._over_common_denominator
+    monkeypatch.setattr(planner, "_over_common_denominator",
+                        lambda x, y: calls.append(1) or frame(x, y))
+    for x, y in (((0, 1, 2), (2, 1, 0)), ((0.5, 1.5, 2.5), (2.5, 1.5, 0.5)),
+                 ((Fraction(1, 3), 0, 1), (Fraction(2, 3), 1, 0))):
+        calls.clear()
+        assert plan_conf3_3(x, y)[0] == 1
+        assert len(calls) == 1, (x, y)
 
 
 def test_a_decimal_crossing_pair_gets_an_exact_detour():
@@ -528,7 +522,8 @@ def test_a_decimal_crossing_pair_gets_an_exact_detour():
     assert path.points[1] == (6, -3, 3)
     assert {type(c) for c in path.points[1]} == {Fraction}
     assert validate_path(path, 3)
-    # with a float among them, the waypoint is p + u in floats
+    # with a float among them, the waypoint is the exact p + u rounded
+    # once to floats
     domain, path = plan_conf3_3((0.5, *x[1:]), y)
     assert domain == 1 and path.points[1] == (6.0, -3.0, 3.0)
     assert validate_path(path, 3)

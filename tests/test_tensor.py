@@ -195,6 +195,30 @@ def test_witness_rejects_bad_parameters():
         witness_product(3, 6, 2, 1)
 
 
+P123 = parse_preorder("(1)[2,3]")
+
+
+@pytest.mark.parametrize("call", [
+    # a str k or n, which does not compare with an int
+    lambda: normalize(P123, "3"),
+    lambda: classify(P123, "3"),
+    lambda: CohClass.zero("3", 4),
+    lambda: cohomology.monomial_closure([make_x(1, 3, 4)], 3, "4"),
+    # a float k, which compares like an int
+    lambda: normalize(P123, 3.0),
+    lambda: classify(P123, 3.0),
+    lambda: CohClass.of(3.0, 4, []),
+    lambda: TensorClass.zero(3.0, 4, 2),
+    # an s that is not an int >= 1
+    lambda: TensorClass.zero(3, 4, "2"),
+    lambda: TensorClass.unit(3, 6, 0),
+    lambda: TensorClass.unit(3, 6, "2"),
+])
+def test_ring_parameters_that_are_not_ints_are_refused(call):
+    with pytest.raises(ParameterOutOfRange):
+        call()
+
+
 @pytest.mark.parametrize("i", [0, -1])
 def test_expected_witness_term_rejects_an_index_below_1(i):
     # an empty product would close to the unit pair, which certifies nothing
