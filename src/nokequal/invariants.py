@@ -4,9 +4,10 @@ Closed forms come from the structure theory; the computational modules
 supply lower bounds with certificates (nonzero witness products). Reports
 record both and never pretend a computation established an upper bound.
 
-json, csv and io are imported inside reports_to_json and reports_to_csv,
-the only functions that use them: every CLI call imports this module, and
-at module top json and csv took about a third of `import nokequal`.
+reports_to_json writes the fixed indent=2 layout of to_dict() itself and
+imports no json; csv and io are imported inside reports_to_csv, the only
+function that uses them: every CLI call imports this module, and at module
+top json and csv took about a third of `import nokequal`.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def invariant_report(k: int, n: int, s: int = 2) -> InvariantReport:
         certs.append(Certificate("zcl_lower", None, "fail", str(exc)))
 
     if k < n < 2 * k:
-        rank = betti(k, n, 1)
+        rank = betti_list[1]  # cat = 1 here, so the list ends at degree 1
         closed = betti_closed_form(k, n)
         certs.append(Certificate("betti_rank", rank,
                                  "pass" if rank == closed else "fail"))
@@ -165,10 +166,58 @@ def verify_range(k_range: Iterable[int], n_range: Iterable[int],
     return out
 
 
-def reports_to_json(reports: list[InvariantReport]) -> str:
-    import json
+def _json_string(text: str) -> str:
+    """text as a JSON string literal, escaped as json.dumps escapes it
+    (ensure_ascii): '"', backslash and the five short controls get their
+    short escapes, every other character outside printable ASCII (DEL
+    included) a lowercase \\uXXXX per UTF-16 code unit, so a character
+    beyond the BMP becomes a surrogate pair and a lone surrogate stays one
+    escape. Plain printable ASCII, the common case, is returned as it
+    is."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import re
 
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    short = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+             "\b": "\\b", "\f": "\\f"}
+
+    def escape(match: "re.Match[str]") -> str:
+        run = match.group()
+        if run[0] > "\x7f":
+            # a run of non-ASCII characters, as hex UTF-16 code units
+            units = run.encode("utf-16-be", "surrogatepass").hex("u", 2)
+            return "\\u" + units.replace("u", "\\u")
+        return short.get(run) or f"\\u{ord(run):04x}"
+
+    return '"' + re.sub('[^\\x00-\\x7f]+|[^ -~]|["\\\\]', escape, text) + '"'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """The indent=2 layout of a list whose items are already written, for a
+    list that sits at depth len(indent) / 2."""
+    if not items:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[\n" + indent + "  " + inner.join(items) + "\n" + indent + "]"
+
+
+def reports_to_json(reports: list[InvariantReport]) -> str:
+    """json.dumps([r.to_dict() for r in reports], indent=2), byte for byte,
+    written directly: the layout of to_dict() is fixed, and json's indented
+    encoder runs in pure Python, which made it the slowest step of a table
+    pass after the cells themselves."""
+    def cert(c: Certificate) -> str:
+        value = "null" if c.value is None else c.value
+        note = f',\n        "note": {_json_string(c.note)}' if c.note else ""
+        return (f'{{\n        "name": {_json_string(c.name)},\n        "value": {value},\n'
+                f'        "status": {_json_string(c.status)}{note}\n      }}')
+
+    return _json_list([
+        f'{{\n    "k": {r.k},\n    "n": {r.n},\n    "s": {r.s},\n    "cat": {r.cat},\n'
+        f'    "hdim": {r.hdim},\n    "tc": {r.tc},\n    "tcs": {r.tcs},\n'
+        f'    "betti": {_json_list([str(b) for b in r.betti_list], "    ")},\n'
+        f'    "certificates": {_json_list([cert(c) for c in r.certificates], "    ")}\n  }}'
+        for r in reports], "")
 
 
 CSV_FIELDS = ["k", "n", "s", "cat", "hdim", "tc", "tcs", "betti",

@@ -317,33 +317,41 @@ def _exhaustive_zcl(k: int, n: int) -> int:
     """Longest nonzero product of distinct y-type zero-divisors, s=2.
 
     The search runs over products y_{m_1} ... y_{m_r} of distinct
-    divisors from y_m (1 <= m <= n-k+2) and y'_m (m >= 2), in increasing
-    index order. Squares are skipped: over GF(2) y_m^2 = x_m^2 (x) 1 +
-    1 (x) x_m^2, and x_m^2 = 0, so a product with a repeated factor is
-    zero. No product of more than cap = 2*floor(n/k) factors is nonzero:
-    each factor adds one block to one slot and a slot holds at most
-    floor(n/k) blocks.
+    divisors from y_m (1 <= m <= n-k+2) and y'_m (m >= 2), taken in one
+    fixed order: the structured factors z_{m,1} of
+    _structured_factors(k, n // k, 2), on which zcl_lower's certificate
+    rests, then every other divisor in increasing index order. Squares are
+    skipped: over GF(2) y_m^2 = x_m^2 (x) 1 + 1 (x) x_m^2, and x_m^2 = 0,
+    so a product with a repeated factor is zero. No product of more than
+    cap = 2*floor(n/k) factors is nonzero: each factor adds one block to
+    one slot and a slot holds at most floor(n/k) blocks.
 
     The search is depth-first: it multiplies the current product by the
-    next divisor in index order, descends into that product at once if it
+    next divisor in that order, descends into that product at once if it
     is nonzero, and backtracks when no divisor is left. It returns cap as
-    soon as some product of cap factors is nonzero. That is the value a
-    full search would return, since no product is longer; when no product
-    reaches cap, the search runs to the end and returns the true maximum.
+    soon as some product of cap factors is nonzero. No order can change
+    the value: any fixed order enumerates each set of distinct divisors
+    once (the product is commutative over GF(2)), a zero product stays
+    zero when extended, so pruning it is sound, and no product is longer
+    than cap, so stopping there gives the value a full search would. When
+    no product reaches cap, the search runs to the end and returns the
+    true maximum. The order only decides which product is found first: at
+    n = 2k it is the structured witness y_1 y_2 y_{k+1} y_{k+2}, after
+    three products.
 
-    The structured factors z_{m,1} of _structured_factors(k, n // k, 2), on
-    which zcl_lower's certificate rests, are built first. Every other
-    divisor is built the first time the search multiplies by it, so each
-    divisor is built, and kernel-checked, at most once per call; a search
-    that stops at cap never builds the divisors it does not reach, and one
-    that runs to the end builds them all.
+    The structured factors are built first. Every other divisor is built
+    the first time the search multiplies by it, so each divisor is built,
+    and kernel-checked, at most once per call; a search that stops at cap
+    never builds the divisors it does not reach, and one that runs to the
+    end builds them all.
     """
-    ms = [(m, primed)
-          for m in range(1, n - k + 3)
-          for primed in ((False, True) if m >= 2 else (False,))]
-    divisors: list[TensorClass | None] = [None] * len(ms)
-    for m, _ in _structured_factors(k, n // k, 2):
-        divisors[ms.index((m, False))] = y(k, n, m)
+    structured = [(m, False) for m, _ in _structured_factors(k, n // k, 2)]
+    ms = structured + [(m, primed)
+                       for m in range(1, n - k + 3)
+                       for primed in ((False, True) if m >= 2 else (False,))
+                       if (m, primed) not in structured]
+    divisors: list[TensorClass | None] = [y(k, n, m) for m, _ in structured]
+    divisors += [None] * (len(ms) - len(divisors))
     cap = 2 * (n // k)
     best = 0
     # path holds (product, index of its last factor) for each depth
@@ -396,12 +404,17 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     distinct y-type divisors (_exhaustive_zcl) derives the bound a second
     way. It can find no more than 2*floor(n/k) factors, by the slot degree
     bound, and no fewer, since its divisors include every factor of the
-    structured witness; so the two must be equal. The search is depth-first
-    in ascending divisor order and returns at the first nonzero product of
-    2*floor(n/k) factors; no product is longer, so stopping there gives the
-    value a full search would, and a search that never reaches the bound
-    runs to the end and reports its true maximum, which then fails the
-    comparison. CertificateFailure is raised when any of these checks fails.
+    structured witness; so the two must be equal. The search is depth-first,
+    over the structured factors first and then the other divisors in
+    ascending order, and returns at the first nonzero product of
+    2*floor(n/k) factors. No order can change its value: each set of
+    distinct divisors is tried once, a zero product stays zero when
+    extended, and no product is longer than the bound, so stopping there
+    gives the value a full search would; a search that never reaches the
+    bound runs to the end and reports its true maximum, which then fails
+    the comparison. The search stays a second derivation: the certificate
+    reads one coefficient from masks, and the search expands its products
+    in full. CertificateFailure is raised when any of these checks fails.
     """
     check_s(s)
     check_domain(k, n)

@@ -9,6 +9,8 @@ from nokequal import make_x, parse_preorder, tensor
 from nokequal.cohomology import betti, cup_length, oracle_normal_form
 from nokequal.errors import ParameterOutOfRange, RangeViolation
 from nokequal.invariants import (
+    Certificate,
+    InvariantReport,
     betti_closed_form,
     cat_formula,
     hdim_formula,
@@ -169,6 +171,50 @@ def test_json_schema():
                           "betti", "certificates"}
         for c in d["certificates"]:
             assert c["status"] in ("pass", "fail", "skipped")
+
+
+def _dumps(reports):
+    return json.dumps([r.to_dict() for r in reports], indent=2)
+
+
+@pytest.mark.parametrize("k_range,n_range,s_range", [
+    (range(3, 5), range(3, 11), (2, 3)),
+    (range(3, 7), range(3, 25), (2, 3, 4)),
+    ((), (), ()),
+])
+def test_json_writer_matches_json_dumps(k_range, n_range, s_range):
+    reports = verify_range(k_range, n_range, s_range)
+    assert reports_to_json(reports) == _dumps(reports)
+
+
+# one of each escape class of json.dumps: quote, backslash, the five short
+# controls, the other controls and DEL, non-ASCII in the BMP, a character
+# beyond it (a surrogate pair) and lone surrogates
+ESCAPES = 'q"b\\ \n\r\t\b\f \x00\x1f\x7f ~ é ⊗ \U0001d11e \ud800 \udfff'
+
+
+def test_json_writer_matches_json_dumps_on_hand_built_reports():
+    reports = [
+        InvariantReport(3, 4, 2, 1, 1, 2, 2, [], []),
+        InvariantReport(3, 5, 2, 1, 1, 2, 2, [1, 12], [
+            Certificate("zcl_lower", None, "fail", ESCAPES),
+            Certificate(ESCAPES, 2, ESCAPES),
+            Certificate("betti_rank", None, "skipped"),
+            # ASCII whose one escape is DEL, which str.isascii passes
+            Certificate("cat_lower", 1, "pass", "DEL \x7f alone"),
+        ]),
+    ]
+    assert reports_to_json(reports) == _dumps(reports)
+    assert reports_to_json(reports[:1]) == _dumps(reports[:1])
+
+
+def test_json_writer_escapes_every_code_point_as_json_does():
+    # four notes that together hold U+0000..U+10FFFF, lone surrogates included
+    step = 0x110000 // 4
+    certs = [Certificate("c", j, "pass", "".join(map(chr, range(lo, lo + step))))
+             for j, lo in enumerate(range(0, 0x110000, step))]
+    reports = [InvariantReport(3, 3, 2, 1, 1, 1, 1, [1, 1], certs)]
+    assert reports_to_json(reports) == _dumps(reports)
 
 
 def test_csv_flattening():

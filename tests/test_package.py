@@ -79,8 +79,9 @@ def _modules_added(statements: str) -> set:
     return set(ast.literal_eval(out.splitlines()[-1]))
 
 
-# loaded only by the calls that need them: JSON and CSV output, JSON input,
-# and an exact waypoint (fractions brings decimal and numbers)
+# loaded only by the calls that need them: CSV output, JSON input, plan
+# output and an exact waypoint (fractions brings decimal and numbers); the
+# report writer lays out its JSON itself
 DEFERRED = {"json", "csv", "fractions", "decimal", "numbers"}
 
 
@@ -101,6 +102,16 @@ def test_import_loads_no_json_csv_or_fractions():
 def test_betti_command_loads_no_json_csv_or_fractions():
     added = _modules_added('from nokequal.cli import main; '
                            'main(["betti", "--k", "3", "--n", "6", "--d", "1"])')
+    assert "nokequal.cli" in added
+    assert sorted(DEFERRED & added) == []
+
+
+def test_json_reports_load_no_json_csv_or_fractions():
+    added = _modules_added("from nokequal import verify_range; "
+                           "from nokequal.invariants import reports_to_json; "
+                           "reports_to_json(verify_range([3], [3, 4])); "
+                           "from nokequal.cli import main; "
+                           'main(["table", "--k-range", "3", "--n-range", "4", "--json"])')
     assert "nokequal.cli" in added
     assert sorted(DEFERRED & added) == []
 

@@ -589,9 +589,12 @@ def test_pruned_zcl_search_matches_unpruned(k, n):
     assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == 2 * (n // k)
 
 
-@pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10)])
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10), (6, 12)])
 def test_zcl_search_stops_at_the_bound(monkeypatch, k, n):
-    divisors = _divisors(k, n, 2)
+    # at n = 2k the structured witness y_1 y_2 y_{k+1} y_{k+2} comes first:
+    # its four divisors are all the search builds, and 2i - 1 = 3 products
+    # reach the bound
+    built = _record_builds(monkeypatch)
     calls = []
     real = tensor.tensor_cup
 
@@ -601,7 +604,29 @@ def test_zcl_search_stops_at_the_bound(monkeypatch, k, n):
 
     monkeypatch.setattr(tensor, "tensor_cup", counting)
     assert _exhaustive_zcl(k, n) == 2 * (n // k)
-    assert len(calls) <= len(divisors)
+    assert len(calls) == 2 * (n // k) - 1
+    assert built == [(k, n, m, 1, 2, False) for m, _ in _structured_factors(k, n // k, 2)]
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10)])
+def test_zcl_search_value_does_not_rest_on_the_structured_witness(monkeypatch, k, n):
+    # every product whose right factor is y_{k+2}, the last structured
+    # divisor, is set to zero, so the structured witness is lost; the search
+    # still finds four factors elsewhere (y_1 y_2 y_4 y'_4 at (3, 6)): the
+    # order decides which product is found, never the value
+    last = y(k, n, k + 2)
+    real = tensor.tensor_cup
+    dropped = []
+
+    def without_last(a, b):
+        if b == last:
+            dropped.append(a)
+            return TensorClass.zero(k, n, 2)
+        return real(a, b)
+
+    monkeypatch.setattr(tensor, "tensor_cup", without_last)
+    assert _exhaustive_zcl(k, n) == 4
+    assert dropped
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4) for n in range(k + 1, 2 * k + 1)])
