@@ -105,14 +105,13 @@ def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
     check costs no normal form when z is right: its two halves join the
     same factor masks term by term, and multiplication_image cancels equal
     mask lists before it multiplies; any construction whose halves differ
-    leaves a list to multiply, and the check sees its product."""
+    leaves a list to multiply, and the check sees its product. _x_masks
+    checks m (IndexOutOfRange)."""
     if (type(k) is not int or type(n) is not int or type(m) is not int
             or type(q) is not int or type(s) is not int):
         check_ints(k=k, n=n, m=m, q=q, s=s)
     if not 1 <= q <= s - 1:
         raise IndexOutOfRange(f"slot q={q} outside 1..{s - 1}")
-    if m + k > n + 2:
-        raise IndexOutOfRange(f"m={m} needs m+k <= n+2")
     # x_{n-k+2} is elementary but not basic; its normal form is a sum
     x_terms = _product(k, n, [_x_masks(m, k, n, primed)])
     (one,) = _nf(k, n, (((1 << n) - 1, False),))
@@ -122,11 +121,6 @@ def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
     if multiplication_image(z):
         raise CertificateFailure("zero-divisor escaped the kernel of multiplication")
     return z
-
-
-def y(k: int, n: int, m: int, primed: bool = False) -> TensorClass:
-    """The s=2 zero-divisor y_m = x_m⊗1 + 1⊗x_m."""
-    return zero_divisor(k, n, m, primed=primed)
 
 
 def tensor_cup(a: TensorClass, b: TensorClass) -> TensorClass:
@@ -197,10 +191,8 @@ def _structured_factors(k: int, i: int, s: int) -> list[tuple[int, int]]:
     return singles + doubles
 
 
-def _chain(k: int, n: int, s: int, factors: list[tuple[int, int]]) -> TensorClass:
-    """Product of the zero-divisors z_{m,q} listed, left to right, stopping
-    at zero; every divisor is built first, so each one's kernel check runs."""
-    divisors = [zero_divisor(k, n, m, q, s) for m, q in factors]
+def _chain(divisors: list[TensorClass]) -> TensorClass:
+    """Product of the divisors listed, left to right, stopping at zero."""
     out = divisors[0]
     for z in divisors[1:]:
         out = tensor_cup(out, z)
@@ -209,17 +201,23 @@ def _chain(k: int, n: int, s: int, factors: list[tuple[int, int]]) -> TensorClas
     return out
 
 
+def _check_witness_index(k: int, n: int, i: int, s: int) -> None:
+    """The parameters of a structured witness: ints with 1 <= i, ik <= n
+    and s >= 2 (ParameterOutOfRange)."""
+    if type(k) is not int or type(n) is not int or type(i) is not int or type(s) is not int:
+        check_ints(k=k, n=n, i=i, s=s)
+    if i < 1 or i * k > n or s < 2:
+        raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
+
+
 def witness_product(k: int, n: int, i: int, s: int = 2) -> TensorClass:
     """The structured product of s*i zero-divisors (_structured_factors),
     fully normalized; for s=2 it is prod_j y_{(j-1)k+1} y_{(j-1)k+2}.
     Factors are multiplied left-to-right so that zero terms are pruned as
     early as possible.
     """
-    if type(k) is not int or type(n) is not int or type(i) is not int or type(s) is not int:
-        check_ints(k=k, n=n, i=i, s=s)
-    if i < 1 or i * k > n or s < 2:
-        raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
-    return _chain(k, n, s, _structured_factors(k, i, s))
+    _check_witness_index(k, n, i, s)
+    return _chain([zero_divisor(k, n, m, q, s) for m, q in _structured_factors(k, i, s)])
 
 
 def p_witness(i: int, variant: int, k: int, n: int) -> CohClass:
@@ -252,10 +250,7 @@ def expected_witness_term(k: int, n: int, i: int, s: int = 2) -> tuple[StringPre
     """The designated tensor basis element of the structured witness product:
     m_0 = prod x_{(j-1)k+1} in slots 1..s-2, then m_0⊗m_1 with
     m_1 = prod x_{(j-1)k+2} when ik < n, else p_{i,1}⊗p_{i,2}."""
-    if type(k) is not int or type(n) is not int or type(i) is not int or type(s) is not int:
-        check_ints(k=k, n=n, i=i, s=s)
-    if i < 1 or i * k > n or s < 2:
-        raise ParameterOutOfRange(f"need 1 <= i, ik <= n, s >= 2; got i={i}, s={s}")
+    _check_witness_index(k, n, i, s)
 
     def closure(off: int) -> StringPreorder:
         return witness_closure([_x_masks((j - 1) * k + off, k, n) for j in range(1, i + 1)],
@@ -313,78 +308,13 @@ def _witness_coefficient(k: int, n: int, i: int, s: int,
     return coeff
 
 
-def _exhaustive_zcl(k: int, n: int) -> int:
-    """Longest nonzero product of distinct y-type zero-divisors, s=2.
-
-    The search runs over products y_{m_1} ... y_{m_r} of distinct
-    divisors from y_m (1 <= m <= n-k+2) and y'_m (m >= 2), taken in one
-    fixed order: the structured factors z_{m,1} of
-    _structured_factors(k, n // k, 2), on which zcl_lower's certificate
-    rests, then every other divisor in increasing index order. Squares are
-    skipped: over GF(2) y_m^2 = x_m^2 (x) 1 + 1 (x) x_m^2, and x_m^2 = 0,
-    so a product with a repeated factor is zero. No product of more than
-    cap = 2*floor(n/k) factors is nonzero: each factor adds one block to
-    one slot and a slot holds at most floor(n/k) blocks.
-
-    The search is depth-first: it multiplies the current product by the
-    next divisor in that order, descends into that product at once if it
-    is nonzero, and backtracks when no divisor is left. It returns cap as
-    soon as some product of cap factors is nonzero. No order can change
-    the value: any fixed order enumerates each set of distinct divisors
-    once (the product is commutative over GF(2)), a zero product stays
-    zero when extended, so pruning it is sound, and no product is longer
-    than cap, so stopping there gives the value a full search would. When
-    no product reaches cap, the search runs to the end and returns the
-    true maximum. The order only decides which product is found first: at
-    n = 2k it is the structured witness y_1 y_2 y_{k+1} y_{k+2}, after
-    three products.
-
-    The structured factors are built first. Every other divisor is built
-    the first time the search multiplies by it, so each divisor is built,
-    and kernel-checked, at most once per call; a search that stops at cap
-    never builds the divisors it does not reach, and one that runs to the
-    end builds them all.
-    """
-    structured = [(m, False) for m, _ in _structured_factors(k, n // k, 2)]
-    ms = structured + [(m, primed)
-                       for m in range(1, n - k + 3)
-                       for primed in ((False, True) if m >= 2 else (False,))
-                       if (m, primed) not in structured]
-    divisors: list[TensorClass | None] = [y(k, n, m) for m, _ in structured]
-    divisors += [None] * (len(ms) - len(divisors))
-    cap = 2 * (n // k)
-    best = 0
-    # path holds (product, index of its last factor) for each depth
-    path: list[tuple[TensorClass, int]] = []
-    j = 0
-    while True:
-        if j < len(divisors):
-            z = divisors[j]
-            if z is None:
-                z = divisors[j] = y(k, n, *ms[j])
-            prod = tensor_cup(path[-1][0], z) if path else z
-            if prod:
-                path.append((prod, j))
-                best = max(best, len(path))
-                if best == cap:
-                    return best
-            j += 1
-        elif path:
-            j = path.pop()[1] + 1
-        else:
-            return best
-
-
 def zcl_lower(k: int, n: int, s: int = 2) -> int:
     """Certified lower bound for the s-th zero-divisor cup-length.
 
     The domain is that of the closed forms, k >= 3 and n >= 1; cells with
-    n < k are contractible and give 0. Every other bound is backed by a
-    nonzero product of the structured factors (_structured_factors), each
-    built by zero_divisor, so each one's kernel check runs. Each divisor
-    is built at most once per call: where the exhaustive search below runs,
-    it builds the structured factors first and any other y_m or y'_m only
-    when it first multiplies by it, and nothing is built a second time.
+    n < k are contractible and give 0. Every other bound is the length of
+    a nonzero product of structured factors (_structured_factors). Each
+    one is built once by zero_divisor, so each one's kernel check runs.
 
     For n > k the product is all s*i of them, i = floor(n/k), and it is
     certified nonzero by one coefficient: that of the designated term
@@ -393,53 +323,36 @@ def zcl_lower(k: int, n: int, s: int = 2) -> int:
     product. It checks that the pairs x_{a_j} x_{a_j+1} vanish (so each
     double splits between slots s-1 and s) and that the singles are forced
     into their own slots by the degree bound, then sums the last two slots
-    exactly over the 2^i patterns; the sum must be 1. witness_product, the
-    full expansion, is kept for display (nokequal witness) and as the
-    tests' oracle for this coefficient.
+    exactly over the 2^i patterns; the sum must be 1.
 
     For n = k the full list vanishes; all but its last factor z_{2,s-1}
     leaves the chain z_{1,1}...z_{1,s-1}, which is multiplied out.
 
-    For s = 2 and k < n <= 2k, an exhaustive search over products of
-    distinct y-type divisors (_exhaustive_zcl) derives the bound a second
-    way. It can find no more than 2*floor(n/k) factors, by the slot degree
-    bound, and no fewer, since its divisors include every factor of the
-    structured witness; so the two must be equal. The search is depth-first,
-    over the structured factors first and then the other divisors in
-    ascending order, and returns at the first nonzero product of
-    2*floor(n/k) factors. No order can change its value: each set of
-    distinct divisors is tried once, a zero product stays zero when
-    extended, and no product is longer than the bound, so stopping there
-    gives the value a full search would; a search that never reaches the
-    bound runs to the end and reports its true maximum, which then fails
-    the comparison. The search stays a second derivation: the certificate
-    reads one coefficient from masks, and the search expands its products
-    in full. CertificateFailure is raised when any of these checks fails.
+    For s = 2 and k < n <= 2k the same divisors are also multiplied out
+    (_chain, the route of witness_product), a second derivation of the
+    bound: the expansion must be nonzero too. There it takes 2i - 1 <= 3
+    tensor products. The guard stays
+    because the expansion's cost grows with i and s, which is what reading
+    one coefficient avoids: cold, it costs more than the rest of zcl_lower
+    in every larger cell measured, about twice as much at (3, 24, 2) and
+    twelve times at (3, 12, 4). CertificateFailure is raised when any of
+    these checks fails.
     """
     check_s(s)
     check_domain(k, n)
     if n < k:
         return 0
-    if n == k:
-        if not _chain(k, n, s, _structured_factors(k, 1, s)[:-1]):
-            raise CertificateFailure("structured witness product unexpectedly vanished")
-        return s - 1
     i = n // k
-    searched = s == 2 and n <= 2 * k
-    if not searched:
-        # when the search below runs, it builds these itself, first
-        for m, q in _structured_factors(k, i, s):
-            zero_divisor(k, n, m, q, s)
-    term = expected_witness_term(k, n, i, s)
-    if _witness_coefficient(k, n, i, s, term) != 1:
-        raise CertificateFailure(
-            f"the coefficient of {TENSOR_SIGN.join(map(str, term))} in the "
-            "structured witness product vanished")
-    bound = s * i
-    if searched:
-        found = _exhaustive_zcl(k, n)
-        if found != bound:
+    factors = _structured_factors(k, i, s)
+    if n == k:
+        factors.pop()
+    divisors = [zero_divisor(k, n, m, q, s) for m, q in factors]
+    if n > k:
+        term = expected_witness_term(k, n, i, s)
+        if _witness_coefficient(k, n, i, s, term) != 1:
             raise CertificateFailure(
-                f"exhaustive zero-divisor search gives {found}, "
-                f"structured witness gives {bound}")
-    return bound
+                f"the coefficient of {TENSOR_SIGN.join(map(str, term))} in the "
+                "structured witness product vanished")
+    if (n == k or s == 2 and n <= 2 * k) and not _chain(divisors):
+        raise CertificateFailure("structured witness product unexpectedly vanished")
+    return len(divisors)

@@ -29,7 +29,7 @@ from nokequal.planner import (
     validate_path,
 )
 from nokequal.preorder import classify, count_admissible, enumerate_admissible, make_x
-from nokequal.tensor import expected_witness_term, tensor_cup, witness_product, y
+from nokequal.tensor import expected_witness_term, tensor_cup, witness_product, zero_divisor
 
 
 @pytest.fixture
@@ -41,6 +41,11 @@ def report(capsys):
         assert ok, criterion
         assert elapsed < budget, f"{criterion} exceeded {budget}s ({elapsed:.2f}s)"
     return _report
+
+
+def y(k, n, m):
+    """The s=2 zero-divisor y_m = x_m⊗1 + 1⊗x_m."""
+    return zero_divisor(k, n, m)
 
 
 def nf_x(m, k, n, primed=False):

@@ -18,7 +18,6 @@ from nokequal.invariants import invariant_report, tcs_formula
 from nokequal.preorder import classify, enumerate_basic, make_x, parse_preorder
 from nokequal.tensor import (
     TensorClass,
-    _exhaustive_zcl,
     _structured_factors,
     _witness_coefficient,
     expected_witness_term,
@@ -26,10 +25,14 @@ from nokequal.tensor import (
     p_witness,
     tensor_cup,
     witness_product,
-    y,
     zcl_lower,
     zero_divisor,
 )
+
+
+def y(k, n, m):
+    """The s=2 zero-divisor y_m = x_m⊗1 + 1⊗x_m."""
+    return zero_divisor(k, n, m)
 
 
 def test_y_expansion():
@@ -267,9 +270,9 @@ def test_witness_coefficient_checks_that_the_singles_are_forced():
 
 @pytest.mark.parametrize("k,n,s", [(3, 7, 2), (3, 7, 3), (4, 9, 3), (3, 6, 4), (5, 11, 2)])
 def test_zcl_lower_multiplies_no_tensor_product_above_n_equals_k(monkeypatch, k, n, s):
-    # outside s = 2, k < n <= 2k (the exhaustive search) the bound comes
-    # from the designated coefficient alone, and every structured divisor
-    # is still built, so each one's kernel check runs
+    # outside s = 2, k < n <= 2k (where the witness is also multiplied
+    # out) the bound comes from the designated coefficient alone, and every
+    # structured divisor is still built, so each one's kernel check runs
     built = []
     real = tensor.zero_divisor
 
@@ -305,10 +308,9 @@ def _record_builds(monkeypatch):
 
 @pytest.mark.parametrize("k,n", [(3, n) for n in (4, 5, 6)] + [(4, n) for n in (5, 6, 7, 8)])
 def test_zcl_lower_builds_each_divisor_once(monkeypatch, k, n):
-    # the exhaustive search builds the structured factors first and any
-    # other y-type divisor only when it first multiplies by it, and
-    # zcl_lower builds none of them a second time; each build runs its
-    # kernel check
+    # zcl_lower builds each structured factor once and multiplies those
+    # same divisors out for the s = 2 cross-check, building none of them a
+    # second time; each build runs its kernel check
     built, checked = _record_builds(monkeypatch), []
     real_image = tensor.multiplication_image
 
@@ -324,8 +326,8 @@ def test_zcl_lower_builds_each_divisor_once(monkeypatch, k, n):
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5) for n in range(k + 1, 2 * k)])
 def test_zcl_lower_builds_only_the_divisors_its_search_reaches(monkeypatch, k, n):
-    # below n = 2k the search stops at its first product of two factors,
-    # y_1 y_2, and never reaches y_{n-k+2} or y'_{n-k+2}, its last divisors
+    # below n = 2k the structured witness is y_1 y_2, so zcl_lower builds
+    # neither y_{n-k+2} nor y'_{n-k+2}, the last y-type divisors
     built = _record_builds(monkeypatch)
     assert zcl_lower(k, n, 2) == 2
     assert {(k, n, m, 1, 2, False) for m in (1, 2)} <= set(built)
@@ -568,7 +570,8 @@ def test_tensor_class_refuses_a_ring_outside_the_range():
 
 
 def _unpruned_zcl(k, n):
-    # The search with squares and every length expanded, for n <= 2k, s=2.
+    # Exhaustive search over products of y-type divisors, with squares and
+    # every length expanded, for n <= 2k, s=2: the oracle for zcl_lower.
     divisors = _divisors(k, n, 2)
     best = 0
     stack = [(d, j, 1) for j, d in enumerate(divisors)]
@@ -586,14 +589,14 @@ def _unpruned_zcl(k, n):
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4, 5) for n in range(k + 1, 2 * k + 1)])
 def test_pruned_zcl_search_matches_unpruned(k, n):
-    assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == 2 * (n // k)
+    assert zcl_lower(k, n, 2) == _unpruned_zcl(k, n) == 2 * (n // k)
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10), (6, 12)])
 def test_zcl_search_stops_at_the_bound(monkeypatch, k, n):
-    # at n = 2k the structured witness y_1 y_2 y_{k+1} y_{k+2} comes first:
-    # its four divisors are all the search builds, and 2i - 1 = 3 products
-    # reach the bound
+    # at n = 2k the s = 2 cross-check multiplies out the structured witness
+    # y_1 y_2 y_{k+1} y_{k+2}: its four divisors are all zcl_lower builds,
+    # and 2i - 1 = 3 products reach the bound
     built = _record_builds(monkeypatch)
     calls = []
     real = tensor.tensor_cup
@@ -603,18 +606,19 @@ def test_zcl_search_stops_at_the_bound(monkeypatch, k, n):
         return real(a, b)
 
     monkeypatch.setattr(tensor, "tensor_cup", counting)
-    assert _exhaustive_zcl(k, n) == 2 * (n // k)
+    assert zcl_lower(k, n, 2) == 2 * (n // k)
     assert len(calls) == 2 * (n // k) - 1
     assert built == [(k, n, m, 1, 2, False) for m, _ in _structured_factors(k, n // k, 2)]
 
 
-@pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10)])
-def test_zcl_search_value_does_not_rest_on_the_structured_witness(monkeypatch, k, n):
-    # every product whose right factor is y_{k+2}, the last structured
-    # divisor, is set to zero, so the structured witness is lost; the search
-    # still finds four factors elsewhere (y_1 y_2 y_4 y'_4 at (3, 6)): the
-    # order decides which product is found, never the value
-    last = y(k, n, k + 2)
+@pytest.mark.parametrize("k,n", [(3, 4), (3, 6), (4, 7), (4, 8), (5, 10)])
+def test_zcl_lower_fails_when_the_structured_witness_expands_to_zero(monkeypatch, k, n):
+    # every product whose right factor is the last structured divisor is
+    # set to zero, so the structured witness expands to zero while its
+    # designated coefficient is still 1: the two derivations disagree, and
+    # no other product of divisors may stand in for the witness
+    *_, (m, q) = _structured_factors(k, n // k, 2)
+    last = zero_divisor(k, n, m, q, 2)
     real = tensor.tensor_cup
     dropped = []
 
@@ -625,15 +629,16 @@ def test_zcl_search_value_does_not_rest_on_the_structured_witness(monkeypatch, k
         return real(a, b)
 
     monkeypatch.setattr(tensor, "tensor_cup", without_last)
-    assert _exhaustive_zcl(k, n) == 4
+    with pytest.raises(CertificateFailure, match="unexpectedly vanished"):
+        zcl_lower(k, n, 2)
     assert dropped
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (3, 4) for n in range(k + 1, 2 * k + 1)])
 def test_zcl_search_runs_to_the_end_when_the_bound_is_unreachable(monkeypatch, k, n):
     # Every product of cap factors is set to zero, so the longest nonzero
-    # product has cap - 1 factors and the search must find no more; running
-    # to the end, it builds every y_m and y'_m, each once.
+    # product has cap - 1 factors, and the structured witness, of cap
+    # factors, expands to zero.
     cap = 2 * (n // k)
     real = tensor.tensor_cup
 
@@ -645,17 +650,14 @@ def test_zcl_search_runs_to_the_end_when_the_bound_is_unreachable(monkeypatch, k
 
     monkeypatch.setattr(tensor, "tensor_cup", capped)
     monkeypatch.setitem(globals(), "tensor_cup", capped)
-    assert _exhaustive_zcl(k, n) == _unpruned_zcl(k, n) == cap - 1
-    built = _record_builds(monkeypatch)
+    assert _unpruned_zcl(k, n) == cap - 1
     with pytest.raises(CertificateFailure):
         zcl_lower(k, n, 2)
-    assert sorted(built) == [(k, n, m, 1, 2, primed) for m in range(1, n - k + 3)
-                             for primed in ((False, True) if m >= 2 else (False,))]
 
 
 def test_zcl_search_disagreement_is_a_certificate_failure(monkeypatch):
-    monkeypatch.setattr(tensor, "_exhaustive_zcl", lambda k, n: 1)
-    with pytest.raises(CertificateFailure, match="exhaustive"):
+    monkeypatch.setattr(tensor, "_chain", lambda divisors: TensorClass.zero(3, 5, 2))
+    with pytest.raises(CertificateFailure, match="unexpectedly vanished"):
         zcl_lower(3, 5, 2)
 
 
