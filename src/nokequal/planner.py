@@ -10,6 +10,9 @@ _class_rule builds that rule once; membership, the planner and
 validate_path apply it, and each checks every coordinate first
 (_check_coordinates): an int, a finite float, or a finite value with
 as_integer_ratio; anything else, inf and NaN included, raises NotInSpace.
+The planner groups its endpoints into classes only on the exact route:
+a segment that the float filter below certifies has no class that is
+not ok at any t, its ends included.
 
 The exact segment test (_exit_time), which the planner and validation
 share, decides every point of a segment. When every coordinate is a
@@ -25,9 +28,10 @@ So answers do not depend on which route decided.
 
 Exact arithmetic is integer arithmetic: the rational route of _exit_time
 puts every coordinate of a segment over one common denominator
-(_over_common_denominator), the planner hands that frame on to its detour
-waypoint, and _classes groups exact values by their integer ratios, so no
-Fraction is hashed. The waypoint is rounded once, from integers: to floats
+(_over_common_denominator), the planner checks its endpoints on that
+frame's integer numerators and hands the frame on to its detour waypoint,
+and _classes groups exact values by their integer ratios, so no Fraction
+is hashed. The waypoint is rounded once, from integers: to floats
 when a coordinate is a float, else to Fractions. So fractions (which loads
 decimal and numbers) is imported only inside _detour_waypoint, for an
 exact waypoint: at module top it took about a fifth of `import nokequal`,
@@ -415,20 +419,33 @@ def plan_conf3_3(x: Configuration, y: Configuration) -> tuple[int, Path]:
     the segment crosses the diagonal at p; detour through p + u where u is
     the cross product of y - x with (1,1,1). u is orthogonal to the
     diagonal's direction and nonzero, so the waypoint (and hence both
-    detour segments) stays clear of the diagonal. The crossing is
-    _exit_time's, and the common-denominator frame of its exact route is
-    built once and also gives the waypoint: the exact p + u, or a rescaled
-    p + u where that leaves the float range, rounded once to floats when a
-    coordinate is a float; see _detour_waypoint.
+    detour segments) stays clear of the diagonal.
+
+    Each query is decided in one pass of _exit_time's two routes. The
+    coordinates are checked first (_check_coordinates), as the float
+    filter needs finite values. Then _clear_in_floats runs, and a segment
+    it certifies is domain 0 with no further work. Its certificate covers
+    every t in [0,1], the ends included, so it never clears a segment with
+    a triple collision at an end: if x_i = x_j = x_l, the float
+    differences e = x_i - x_j and g = x_i - x_l are exactly 0 (f and h if
+    the collision is at y), so |eh| + |fg| is 0, or NaN where the other
+    factor overflowed, and the filter declines. A declined segment takes
+    the exact route. Its common-denominator frame is built once: the
+    endpoints are checked on its integer numerators, where equal values
+    have equal numerators; _exact_exit_time finds the crossing on it; and
+    it gives the waypoint, the exact p + u, or a rescaled p + u where that
+    leaves the float range, rounded once to floats when a coordinate is a
+    float (see _detour_waypoint).
     """
     if len(x) != 3 or len(y) != 3:
         raise DimensionMismatch("planner works on 3 coordinates")
-    exact_x, exact_y = _check_coordinates(x), _check_coordinates(y)
+    _check_coordinates(x)
+    _check_coordinates(y)
     ok = _class_rule(3, 3)
-    if not all(map(ok, chain(_classes(x, exact_x), _classes(y, exact_y)))):
-        raise NotInSpace("endpoint has a triple collision")
     if not _clear_in_floats(x, y, ok):
         den, xs, ys = _over_common_denominator(x, y)
+        if not all(map(ok, chain(_classes(xs), _classes(ys)))):
+            raise NotInSpace("endpoint has a triple collision")
         at = _exact_exit_time(xs, ys, ok)
         if at is not None:
             rounded = any(isinstance(v, float) for v in chain(x, y))

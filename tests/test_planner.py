@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nokequal import planner
-from nokequal.errors import DimensionMismatch, NotInSpace, ParameterOutOfRange
+from nokequal.errors import DimensionMismatch, NoKEqualError, NotInSpace, ParameterOutOfRange
 from nokequal.planner import (
     Path,
     SimplicialComplex,
@@ -227,6 +228,24 @@ def test_plan_domain_symmetric():
 def test_plan_rejects_collided_endpoint():
     with pytest.raises(NotInSpace):
         plan_conf3_3((1, 1, 1), (0, 1, 2))
+
+
+@pytest.mark.parametrize("x,y", [
+    ((0.5, 0.5, 0.5), (0.0, 1.0, 2.0)),
+    ((0.0, 1.0, 2.0), (-0.0, 0.0, 0.0)),
+    ((0.0, 1.0, 2.0), (2, 2, 2)),
+    ((Decimal("1.0"), Fraction(1), 1), (0.0, 1.0, 2.0)),
+    ((Fraction(1, 3), 0, 1), (Fraction(2, 6), Fraction(1, 3), Fraction(1, 3))),
+    # y_1 - y_2 overflows, so the float filter's magnitude sum is NaN
+    ((0.5, 0.5, 0.5), (1e308, -1e308, 0.0)),
+], ids=["float-x", "signed-zero-y", "float-x-int-y", "decimal-fraction-int-x",
+        "fraction-y", "overflowing-y"])
+def test_plan_rejects_a_triple_collision_at_either_endpoint(x, y):
+    # the float filter, which runs before any endpoint is grouped, never
+    # certifies a segment with a bad end
+    for pair in ((x, y), (y, x)):
+        with pytest.raises(NotInSpace, match="^endpoint has a triple collision$"):
+            plan_conf3_3(*pair)
 
 
 def test_plan_exact_rational_boundary():
@@ -492,6 +511,31 @@ def test_detour_waypoint_matches_the_fraction_reference():
         {(False, "p + u"), (False, "rescaled"), (True, "p + u"), (True, "rescaled")}, routes
 
 
+PIN_POOL = (0.0, -0.0, 1.0, 1, Fraction(1), Decimal("1.0"), 2.5, Fraction(5, 2), 3)
+
+
+def _plan_outcome(x, y):
+    try:
+        domain, path = plan_conf3_3(x, y)
+    except NoKEqualError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((domain, path.points, validate_path(path, 3)))
+
+
+def test_plan_outcomes_match_their_pinned_digest():
+    # every domain, waypoint byte, verdict and exception message of the
+    # crossing stream and of 20,000 pairs drawn from a pool of equal values
+    # of every type; about a fifth of the pool pairs have a collided endpoint
+    rng = random.Random(3)
+    pool_pairs = ((tuple(rng.choice(PIN_POOL) for _ in range(3)),
+                   tuple(rng.choice(PIN_POOL) for _ in range(3))) for _ in range(20000))
+    digest = hashlib.sha256()
+    for x, y in chain(((x, y) for x, y, _ in detour_cases(31, 3000)), pool_pairs):
+        digest.update(_plan_outcome(x, y).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "55e230057fb42d7ec76319ba9f07d2489b0d0ead7dc6e7ff066c3ac460dfba70"
+
+
 def test_a_float_waypoint_is_the_exact_one_rounded_once():
     # p + u is (22104.75, 21954.75, 22317.75) exactly; rounding each float
     # step would give 22104.749999999996 and 22317.749999999996
@@ -512,6 +556,34 @@ def test_an_exact_crossing_is_put_over_its_common_denominator_once(monkeypatch):
         calls.clear()
         assert plan_conf3_3(x, y)[0] == 1
         assert len(calls) == 1, (x, y)
+
+
+def test_a_float_query_is_decided_in_one_pass(monkeypatch):
+    frames, grouped = [], []
+    frame, classes = planner._over_common_denominator, planner._classes
+    monkeypatch.setattr(planner, "_over_common_denominator",
+                        lambda x, y: frames.append(1) or frame(x, y))
+    monkeypatch.setattr(planner, "_classes",
+                        lambda x, *exact: grouped.append(tuple(x)) or classes(x, *exact))
+    # cleared by the float filter: neither grouped nor put over a denominator
+    for x, y in (((0.0, 1.0, 2.0), (0.0, 2.0, 4.0)), ((0.1, 0.2, 0.3), (3.0, -1.0, 2.5)),
+                 ((-1e-12, 3e-12, 2e-12), (5e5, -2e5, 1e6))):
+        assert plan_conf3_3(x, y)[0] == 0
+        assert frames == [] and grouped == [], (x, y)
+    # the exact route builds its frame once and groups its integer numerators
+    for x, y, domain in (((0, 1, 2), (2, 1, 0), 1), ((0.5, 1.5, 2.5), (2.5, 1.5, 0.5), 1),
+                         ((0, 1, 2), (0, 2, 4), 0), ((Fraction(1, 3), 0, 1), (0, 1, 2), 0),
+                         ((Decimal("0.5"), 1.0, 3), (3.5, 3, Fraction(1)), 1),
+                         ((1, 1, 1), (0, 1, 2), None), ((0.5, 0.5, 0.5), (0.0, 1.0, 2.0), None)):
+        frames.clear()
+        grouped.clear()
+        if domain is None:
+            with pytest.raises(NotInSpace):
+                plan_conf3_3(x, y)
+        else:
+            assert plan_conf3_3(x, y)[0] == domain
+        assert len(frames) == 1 and len(grouped) == 2, (x, y)
+        assert {type(v) for c in grouped for v in c} == {int}, (x, y)
 
 
 def test_a_decimal_crossing_pair_gets_an_exact_detour():
