@@ -30,12 +30,12 @@ Exact arithmetic is integer arithmetic: the rational route of _exit_time
 puts every coordinate of a segment over one common denominator
 (_over_common_denominator), the planner checks its endpoints on that
 frame's integer numerators and hands the frame on to its detour waypoint,
-and _classes groups exact values by their integer ratios, so no Fraction
-is hashed. The waypoint is rounded once, from integers: to floats
-when a coordinate is a float, else to Fractions. So fractions (which loads
-decimal and numbers) is imported only inside _detour_waypoint, for an
-exact waypoint: at module top it took about a fifth of `import nokequal`,
-which every CLI call pays for."""
+and reduce_to_xn takes its differences on it, each rounded once. _classes
+groups coordinates by value alone. The waypoint is rounded once, from
+integers: to floats when a coordinate is a float, else to Fractions. So
+fractions (which loads decimal and numbers) is imported only inside
+_detour_waypoint, for an exact waypoint: at module top it took about a
+fifth of `import nokequal`, which every CLI call pays for."""
 
 from __future__ import annotations
 
@@ -50,42 +50,33 @@ from .preorder import Record, _set, check_ints, mask_of
 Configuration = Sequence[float]
 
 
-def _classes(x: Configuration, exact: bool = False) -> Iterable[list[int]]:
-    """The classes of equal coordinates of x, as lists of 1-based indices.
-
-    An int or a float is grouped by its own hash. If exact is true, as
-    _check_coordinates returns when some coordinate is neither, every
-    coordinate is grouped by its as_integer_ratio(), which int, float,
-    Fraction and Decimal give in lowest terms with a positive denominator,
-    so that equal values of any of these types meet and no Fraction is
-    hashed: Fraction.__hash__ computes a modular inverse per value."""
-    keys = [v.as_integer_ratio() for v in x] if exact else x
+def _classes(x: Configuration) -> Iterable[list[int]]:
+    """The classes of equal coordinates of x, as lists of 1-based indices,
+    grouped by value: an int, float, Fraction or Decimal compares and
+    hashes equal to any of these types of the same value."""
     classes: dict = {}
-    for i, v in enumerate(keys, 1):
+    for i, v in enumerate(x, 1):
         classes.setdefault(v, []).append(i)
     return classes.values()
 
 
-def _check_coordinates(x: Configuration) -> bool:
+def _check_coordinates(x: Configuration) -> None:
     """Raise NotInSpace unless every coordinate is a finite real number: an
     int, a finite float, or a value with as_integer_ratio, such as a
-    Fraction or a Decimal (as_integer_ratio raises for inf and NaN).
-    Return True iff some coordinate is neither an int nor a float."""
-    exact = False
+    Fraction or a Decimal (as_integer_ratio raises for inf and NaN)."""
     for v in x:
         if not (type(v) is float and isfinite(v)) and type(v) is not int:
             try:
                 v.as_integer_ratio()
             except (AttributeError, OverflowError, TypeError, ValueError):
                 raise NotInSpace(f"coordinate {v!r:.24} is not a finite real") from None
-            exact = True
-    return exact
 
 
 def in_conf_k(x: Configuration, k: int) -> bool:
     """True iff every class of equal coordinates has fewer than k members."""
     rule = _class_rule(k, len(x))
-    return all(map(rule, _classes(x, _check_coordinates(x))))
+    _check_coordinates(x)
+    return all(map(rule, _classes(x)))
 
 
 class SimplicialComplex(Record):
@@ -165,21 +156,26 @@ def _class_rule(constraint: Union[int, SimplicialComplex],
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
     """True iff every class of two or more equal coordinates is a face of K."""
     rule = _class_rule(K, len(x))
-    return all(map(rule, _classes(x, _check_coordinates(x))))
+    _check_coordinates(x)
+    return all(map(rule, _classes(x)))
 
 
 def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
     """Split a configuration into a unit-sphere direction (last coordinate
-    zero), a positive scale, and an offset: x = direction * scale + offset."""
+    zero), a positive scale, and an offset: x = direction * scale + offset.
+    The coordinates may be any finite reals. Each difference x_l - x_n and
+    the offset x_n is exact on the common-denominator frame, rounded once;
+    one beyond the float range raises ParameterOutOfRange."""
     if len(x) < 3:
         raise ParameterOutOfRange("need at least 3 coordinates")
     if not in_conf_k(x, 3):
         raise NotInSpace("configuration has a triple collision")
-    last = x[-1]
+    den, xs, _ = _over_common_denominator(x, ())
+    last = xs[-1]
     overflow = "coordinate differences overflow the float range"
     try:
-        diffs = [float(xi - last) for xi in x]
-    except OverflowError:  # exact differences beyond float range
+        diffs = [(xl - last) / den for xl in xs]
+    except OverflowError:
         raise ParameterOutOfRange(overflow) from None
     # scaled norm: squaring subnormal differences would underflow to zero
     peak = max(abs(d) for d in diffs)
@@ -189,7 +185,10 @@ def reduce_to_xn(x: Configuration) -> tuple[tuple[float, ...], float, float]:
     norm = peak * sqrt(sum((d / peak) ** 2 for d in diffs))
     if not isfinite(norm):
         raise ParameterOutOfRange(overflow)
-    return tuple(d / norm for d in diffs), norm, float(last)
+    try:
+        return tuple(d / norm for d in diffs), norm, last / den
+    except OverflowError:
+        raise ParameterOutOfRange("the offset overflows the float range") from None
 
 
 def inverse_reduce(direction: Sequence[float], scale: float, offset: float) -> tuple[float, ...]:

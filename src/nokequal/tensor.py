@@ -92,8 +92,9 @@ class TensorClass(Record):
 
 def zero_divisor(k: int, n: int, m: int, q: int = 1, s: int = 2,
                  primed: bool = False) -> TensorClass:
-    """The zero-divisor z_{m,q}: x_m (x'_m when primed) in slot q plus x_m
-    in slot s. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m.
+    """The zero-divisor z_{m,q}: x_m in slot q plus x_m in slot s, with
+    x'_m in both slots when primed; the same class in both slots puts z in
+    the kernel of multiplication. For s=2, q=1 this is y_m = x_m⊗1 + 1⊗x_m.
 
     Built in one pass from the normal-form memo: x_m's basic terms are
     _product of its masks (_x_masks), the unit's one term is _nf's, and the

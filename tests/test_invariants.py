@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nokequal import make_x, parse_preorder, tensor
+from nokequal import invariants, make_x, parse_preorder, tensor
 from nokequal.cohomology import betti, cup_length, oracle_normal_form
 from nokequal.errors import ParameterOutOfRange, RangeViolation
 from nokequal.invariants import (
@@ -151,6 +151,21 @@ def test_report_odd_sphere_case_passes():
     r = invariant_report(3, 3, 2)
     zcl = next(c for c in r.certificates if c.name == "zcl_lower")
     assert (zcl.value, zcl.status) == (1, "pass")
+
+
+@pytest.mark.parametrize("k,s,wrong", [
+    (3, 2, -1), (3, 3, -1), (4, 2, -1), (4, 3, -1), (5, 4, None), (4, 2, +2), (3, 2, +1),
+])
+def test_report_records_a_wrong_sphere_bound_as_fail(monkeypatch, k, s, wrong):
+    # at n = k only an even sphere's GF(2) bound s - 1 = tcs - 1 is skipped;
+    # any other value off the closed form fails (wrong None returns 0)
+    true = invariants.zcl_lower(k, k, s)
+    monkeypatch.setattr(invariants, "zcl_lower",
+                        lambda k, n, s: 0 if wrong is None else true + wrong)
+    r = invariant_report(k, k, s)
+    zcl = next(c for c in r.certificates if c.name == "zcl_lower")
+    assert zcl.status == "fail", (zcl.value, r.tcs)
+    assert not r.all_agree
 
 
 def test_report_records_a_vanished_witness_as_fail(monkeypatch):

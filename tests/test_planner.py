@@ -190,6 +190,80 @@ def test_reduce_roundtrip(coords):
     assert sum(d * d for d in direction) == pytest.approx(1.0)
 
 
+def reduce_cases():
+    """Acceptance criterion 10's float tuples, then seeded floats whose
+    exponents run from the subnormals to the top of the float range, ints up
+    to 10^320 and Fractions, some of them with differences that underflow."""
+    rng = random.Random(11)
+    for _ in range(10_000):
+        n = rng.randint(3, 8)
+        yield tuple(rng.uniform(-100, 100) for _ in range(n))
+    rng = random.Random(41)
+    for _ in range(3000):
+        top, spread = rng.randint(-1080, 1024), rng.choice((0, 4, 60))
+        yield tuple(rng.choice((-1, 1)) * math.ldexp(rng.random(), top - rng.randint(0, spread))
+                    for _ in range(rng.randint(3, 6)))
+    for _ in range(3000):
+        e = rng.randint(0, 320)
+        yield tuple(rng.randint(-10 ** e, 10 ** e) for _ in range(rng.randint(3, 6)))
+    for _ in range(3000):
+        e, d = rng.randint(0, 40), rng.choice((1, 10, 10 ** 6, 10 ** 400))
+        yield tuple(Fraction(rng.randint(-10 ** e, 10 ** e), rng.randint(1, d))
+                    for _ in range(rng.randint(3, 6)))
+
+
+def test_reductions_match_their_pinned_digest():
+    # every output value and exception of reduce_to_xn on coordinates of one
+    # type, where a difference in that type is already rounded once; -0.0 is
+    # read as 0.0 (test_reduce_gives_unsigned_zeros pins the sign)
+    digest = hashlib.sha256()
+    for x in reduce_cases():
+        try:
+            direction, scale, offset = reduce_to_xn(x)
+            out = repr((tuple(d + 0.0 for d in direction), scale, offset + 0.0))
+        except Exception as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == \
+        "bf9ba8f55be81e373fac69edfa5873580658f1c1a33f69d70f37783cbc948321"
+
+
+def once_rounded_reduction(x):
+    """reduce_to_xn's answer from the exact differences, each rounded once
+    to a float, and the same scaled norm."""
+    exact = [Fraction(v) for v in x]
+    diffs = [float(v - exact[-1]) for v in exact]
+    peak = max(map(abs, diffs))
+    norm = peak * math.sqrt(sum((d / peak) ** 2 for d in diffs))
+    return tuple(d / norm for d in diffs), norm, float(exact[-1])
+
+
+@pytest.mark.parametrize("x", [
+    (Decimal("0.5"), 1.0, 2.0),
+    (Decimal(1), 3, Fraction(1, 2)),
+    (1.0, 2.0, Decimal("0.25")),
+    # the int rounds to 2^53 + 4 as a float, and 2^53 + 4 - 0.5 rounds to
+    # 2^53 + 4 again, where the exact difference 2^53 + 2.5 rounds to 2^53 + 2
+    (2 ** 53 + 3, 0.0, 0.5),
+])
+def test_reduce_rounds_each_exact_difference_once(x):
+    assert reduce_to_xn(x) == once_rounded_reduction(x)
+
+
+def test_reduce_gives_unsigned_zeros():
+    # a zero difference or offset is exact on the integer frame, so it has
+    # no sign, whatever the sign of a zero coordinate
+    for x in ((1.0, 2.0, -0.0), (-0.0, 1.0, 0.0), (1.0, -0.0, 0.0)):
+        direction, _, offset = reduce_to_xn(x)
+        zeros = [v for v in direction + (offset,) if v == 0]
+        assert all(math.copysign(1.0, v) == 1.0 for v in zeros), x
+
+
+def test_reduce_rejects_an_offset_beyond_float_range():
+    with pytest.raises(ParameterOutOfRange):
+        reduce_to_xn((10 ** 400, 10 ** 400 + 1, 10 ** 400 + 2))
+
+
 def test_path_invariants():
     with pytest.raises(ParameterOutOfRange):
         Path(((0.0, 0.0),))
@@ -637,11 +711,8 @@ def test_classes_of_mixed_types_match_hash_grouping(monkeypatch):
     for _ in range(3000):
         pool = rng.choice((CLASS_VALUES[:4], CLASS_VALUES[4:10], CLASS_VALUES[:10], CLASS_VALUES))
         x = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
-        # only a value that is neither an int nor a float makes _classes
-        # key the coordinates by their ratios
-        exact = planner._check_coordinates(x)
-        assert exact == any(type(v) not in (int, float) for v in x)
-        assert sorted(planner._classes(x, exact)) == hash_classes(x), x
+        planner._check_coordinates(x)
+        assert sorted(planner._classes(x)) == hash_classes(x), x
         key = frozenset(map(type, x))
         kinds[key] = kinds.get(key, 0) + 1
     for types in ({int}, {float}, {int, float}, {int, float, Fraction, Decimal}):
@@ -651,6 +722,19 @@ def test_classes_of_mixed_types_match_hash_grouping(monkeypatch):
     x = (Fraction(1, 3), Fraction(2, 3), Fraction(1))
     domain, path = plan_conf3_3(x, tuple(1 - v for v in x))
     assert domain == 1 and validate_path(path, 3)
+
+
+def test_membership_answers_match_their_pinned_digest():
+    # in_conf_k and in_conf_complex on 5-tuples of equal values of every type
+    rng = random.Random(59)
+    K = SimplicialComplex.skeleton(5, 1)
+    digest = hashlib.sha256()
+    for _ in range(20000):
+        pool = rng.choice((CLASS_VALUES[:4], CLASS_VALUES[4:10], CLASS_VALUES[:10], CLASS_VALUES))
+        x = tuple(rng.choice(pool) for _ in range(5))
+        digest.update(repr((in_conf_k(x, 2), in_conf_k(x, 3), in_conf_complex(x, K))).encode())
+    assert digest.hexdigest() == \
+        "a47f29d15244bfadf8dcaf9d012ca5f0865b25345ca2ded8006d217e232b59e6"
 
 
 def test_parallel_to_diagonal_is_direct():
