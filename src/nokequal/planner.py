@@ -4,8 +4,10 @@ a double collision, and a path validator.
 
 A configuration is in a space iff each class of equal coordinates is
 allowed: fewer than k members in Conf_k(R,n), a face of K in Conf_K(R,n).
-K is stored by its facets, so a class of two or more indices is a face iff
-its bitmask is a subset of some facet's; a single index always is one.
+A class is the bitmask of its indices, coordinate i + 1 at bit i, as
+vertex i + 1 is in the masks of K's facets; so a class of two or more
+indices is a face iff it is a subset of some facet, and a single index
+always is one.
 _class_rule builds that rule once; membership, the planner and
 validate_path apply it, and each checks every coordinate first
 (_check_coordinates): an int, a finite float, or a finite value with
@@ -50,13 +52,13 @@ from .preorder import Record, _set, check_ints, mask_of
 Configuration = Sequence[float]
 
 
-def _classes(x: Configuration) -> Iterable[list[int]]:
-    """The classes of equal coordinates of x, as lists of 1-based indices,
-    grouped by value: an int, float, Fraction or Decimal compares and
-    hashes equal to any of these types of the same value."""
+def _classes(x: Configuration) -> Iterable[int]:
+    """The classes of equal coordinates of x, as bitmasks (coordinate i + 1
+    at bit i), grouped by value: an int, float, Fraction or Decimal compares
+    and hashes equal to any of these types of the same value."""
     classes: dict = {}
-    for i, v in enumerate(x, 1):
-        classes.setdefault(v, []).append(i)
+    for i, v in enumerate(x):
+        classes[v] = classes.get(v, 0) | 1 << i
     return classes.values()
 
 
@@ -130,27 +132,21 @@ class SimplicialComplex(Record):
 
 
 def _class_rule(constraint: Union[int, SimplicialComplex],
-                dim: int) -> Callable[[list[int]], bool]:
-    """The rule that a class of equal coordinates, a list of 1-based
-    indices into a configuration of dim coordinates, is allowed: fewer
-    than k members for constraint k, a face of K for constraint K (a single
-    index always is one). The rule is downward closed."""
+                dim: int) -> Callable[[int], bool]:
+    """The rule that a class of equal coordinates of a configuration of dim
+    coordinates, a bitmask as _classes gives, is allowed: fewer than k
+    members for constraint k, a subset of a facet's mask for constraint K
+    (a single index always is a face). The rule is downward closed."""
     if isinstance(constraint, SimplicialComplex):
         if dim != constraint.n:
             raise DimensionMismatch(f"{dim} coordinates for {constraint.n} vertices")
         facets = constraint.facets
-
-        def allowed(c: list[int]) -> bool:
-            if len(c) < 2:
-                return True
-            m = mask_of(c)
-            return any(m & f == m for f in facets)
-        return allowed
+        return lambda m: not m & (m - 1) or any(m & f == m for f in facets)
     if type(constraint) is not int:
         check_ints(k=constraint)
     if constraint < 2:
         raise ParameterOutOfRange("k must be >= 2")
-    return lambda c: len(c) < constraint
+    return lambda m: m.bit_count() < constraint
 
 
 def in_conf_complex(x: Configuration, K: SimplicialComplex) -> bool:
@@ -233,7 +229,7 @@ _DET_TINY = 2.0 ** -900
 
 
 def _clear_in_floats(x: Configuration, y: Configuration,
-                     ok: Callable[[list[int]], bool]) -> bool:
+                     ok: Callable[[int], bool]) -> bool:
     """True if float arithmetic certifies that no class of equal
     coordinates of (1 - t) x + t y is ever not ok on [0,1]; False leaves
     the segment to the exact route, as it does when a coordinate is not a
@@ -249,7 +245,7 @@ def _clear_in_floats(x: Configuration, y: Configuration,
             xj, yj = x[j], y[j]
             if xi < xj and yi < yj or xi > xj and yi > yj:
                 continue  # the pair never meets
-            if not ok([i + 1, j + 1]):
+            if not ok(1 << i | 1 << j):
                 return False
             e, f = xi - xj, yi - yj
             for l in range(n):
@@ -273,9 +269,9 @@ def _over_common_denominator(x: Configuration, y: Configuration
 
 
 def _exit_time(x: Configuration, y: Configuration,
-               ok: Callable[[list[int]], bool]) -> Optional[tuple[int, int]]:
+               ok: Callable[[int], bool]) -> Optional[tuple[int, int]]:
     """First time t in [0,1] at which a class of equal coordinates of
-    (1 - t) x + t y, a list of 1-based indices, is not ok, as a pair (a, b)
+    (1 - t) x + t y, the bitmask of its indices, is not ok, as a pair (a, b)
     with t = a/b and b > 0; None if none is. The coordinates must be
     finite reals, as _check_coordinates ensures.
 
@@ -324,9 +320,11 @@ def _exit_time(x: Configuration, y: Configuration,
 
 
 def _exact_exit_time(xs: list[int], ys: list[int],
-                     ok: Callable[[list[int]], bool]) -> Optional[tuple[int, int]]:
+                     ok: Callable[[int], bool]) -> Optional[tuple[int, int]]:
     """_exit_time's exact route, on the numerators xs and ys of a segment's
-    coordinates over their common denominator (_over_common_denominator)."""
+    coordinates over their common denominator (_over_common_denominator).
+    The class of a pair i, j at its time is the bitmask of every l whose
+    coordinate equals theirs there; i and j are in it by construction."""
     n = len(xs)
     best = None  # the first bad time found so far, (a, b) with b > 0
     for i in range(n - 1):
@@ -346,8 +344,7 @@ def _exact_exit_time(xs: list[int], ys: list[int],
                 continue
             c = b - a
             v = xi * c + yi * a
-            if not ok([l + 1 for l in range(n)
-                       if l == i or l == j or xs[l] * c + ys[l] * a == v]):
+            if not ok(sum(1 << l for l in range(n) if xs[l] * c + ys[l] * a == v)):
                 best = (a, b)
     return best
 

@@ -36,16 +36,17 @@ def mask_of(elements) -> int:
     return m
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of a non-negative mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
 def elems_of(mask: int) -> list[int]:
     """Sorted 1-based elements of a bitmask."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
+    return [bit.bit_length() for bit in set_bits(mask)]
 
 
 class LevelSet(NamedTuple):
@@ -236,8 +237,8 @@ class RelationMatrix(Record):
                 raise NotAPartition(f"relation not reflexive at {i + 1}")
         for i in range(n):
             acc = rows[i]
-            for j in elems_of(rows[i]):
-                acc |= rows[j - 1]
+            for bit in set_bits(rows[i]):
+                acc |= rows[bit.bit_length() - 1]
             if acc != rows[i]:
                 raise NotAPartition(f"relation not transitive at {i + 1}")
         _set(self, "n", n)
@@ -436,16 +437,9 @@ def _submasks(pool: int) -> Iterator[int]:
 
 
 def _ksubsets(pool: int, size: int) -> list[int]:
-    """Size-subsets of pool as bitmasks, in increasing integer order."""
-    bits = [1 << (e - 1) for e in elems_of(pool)]
-    out = []
-    for combo in combinations(range(len(bits)), size):
-        m = 0
-        for c in combo:
-            m |= bits[c]
-        out.append(m)
-    out.sort()
-    return out
+    """Size-subsets of pool as bitmasks, in increasing integer order: the
+    sum of distinct bits is their union."""
+    return sorted(map(sum, combinations(set_bits(pool), size)))
 
 
 def _assemble(n: int, parts: Sequence[tuple[int, bool]]) -> StringPreorder:
@@ -520,6 +514,8 @@ def enumerate_admissible(k: int, n: int, d: int) -> Iterator[StringPreorder]:
 
 def _enumerate(k: int, n: int, d: int, basic: bool) -> Iterator[StringPreorder]:
     check_degree_params(k, n, d)
+    if d * (k - 1) > n:
+        return  # d blocks of k-1 do not fit in 1..n; no d-tuple of sizes is built
     for parts in _block_parts(n, (k - 1,) * d, basic):
         yield _assemble(n, parts)
 

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -519,6 +520,17 @@ def test_betti_count_matches_enumeration():
                   for d in range(n // k + 2)
                   if betti(k, n, d) != sum(1 for _ in enumerate_basic(k, n, d))]
     assert mismatches == []
+
+
+def test_degrees_that_cannot_fit_return_at_once():
+    # no round of the recurrence and no frame or column is built past the
+    # degrees that fit in 1..n
+    t0 = time.perf_counter()
+    assert betti(3, 5, 10 ** 18) == 0
+    assert list(_relation_rows(3, 5, 10 ** 18)) == []
+    o = oracle_normal_form(3, 5, 10 ** 6)
+    assert (o.rank, o.basis, o.normal_form, o.consistent, o.issues) == (0, [], {}, True, [])
+    assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("k, n, d", [(2, 5, 1), (3, 2, 0), (4, 3, 1), (3, 5, -1), (3, 65, 1)])

@@ -60,6 +60,37 @@ def test_complex_downward_closure_from_facets():
     assert not in_conf_complex((0, 0, 1, 0), K)
 
 
+def test_a_complex_without_facets_allows_only_singletons():
+    K = SimplicialComplex(3, ())
+    assert in_conf_complex((0, 1, 2), K)
+    assert not in_conf_complex((0, 0, 1), K)
+    # coordinates 1 and 2 meet at t = 1/2
+    assert validate_path(Path.through((0, 1, 2), (1, 0, 2)), K) is False
+
+
+MEMBERSHIP_VALUES = (0, 1, 2, 0.5, 1.0, 2.0, -1.0, Fraction(1, 2), Fraction(2),
+                     Fraction(1, 3), Decimal("0.5"), Decimal("1"), Decimal("2.0"))
+
+
+def test_membership_and_validation_digest_is_pinned():
+    """in_conf_k, in_conf_complex and validate_path on seeded mixed-type
+    5-tuples, hashed: the verdicts must not change when the way classes
+    are represented does."""
+    rng = random.Random(41)
+    complexes = (SimplicialComplex.skeleton(5, 1), SimplicialComplex(5, ()),
+                 SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [4, 5]]))
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        x, y = (tuple(rng.choice(MEMBERSHIP_VALUES) for _ in range(5)) for _ in range(2))
+        path = Path.through(x, y)
+        verdicts = [in_conf_k(x, k) for k in (2, 3, 4)]
+        verdicts += [in_conf_complex(x, K) for K in complexes]
+        verdicts += [validate_path(path, c) for c in (2, 3, 4, *complexes)]
+        digest.update(bytes(verdicts))
+    assert digest.hexdigest() == \
+        "93d948be2df03bcd84c2352d2ae7f0b9e47e2390b8b297dc6d3034cacdaef034"
+
+
 @pytest.mark.parametrize("build", [
     lambda: SimplicialComplex.from_facets(3, [[1, 0]]),
     lambda: SimplicialComplex.from_facets(3, [[4]]),
@@ -498,7 +529,7 @@ def test_plan_detour_is_finite_at_extreme_pairs(x, y):
     assert {type(c) for c in path.points[1]} == {type(x[0])}
     assert all(math.isfinite(c) for pt in path.points for c in pt)
     assert validate_path(path, 3)
-    want, _ = expected_waypoint(x, y, _exit_time(x, y, lambda c: len(c) < 3))
+    want, _ = expected_waypoint(x, y, _exit_time(x, y, lambda m: len(elems_of(m)) < 3))
     assert repr(path.points[1]) == repr(want)
 
 
@@ -549,7 +580,7 @@ def detour_cases(seed, count):
     so that the largest |coordinate| lies in [2^(1022-i), 2^(1023-i)),
     i = -1..2, on both sides of the switch to the rescaled waypoint."""
     rng = random.Random(seed)
-    ok = lambda c: len(c) < 3
+    ok = lambda m: len(elems_of(m)) < 3
     made = 0
     while made < count:
         kinds = rng.choice(DETOUR_KINDS)
@@ -712,7 +743,7 @@ def test_classes_of_mixed_types_match_hash_grouping(monkeypatch):
         pool = rng.choice((CLASS_VALUES[:4], CLASS_VALUES[4:10], CLASS_VALUES[:10], CLASS_VALUES))
         x = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
         planner._check_coordinates(x)
-        assert sorted(planner._classes(x)) == hash_classes(x), x
+        assert sorted(map(elems_of, planner._classes(x))) == hash_classes(x), x
         key = frozenset(map(type, x))
         kinds[key] = kinds.get(key, 0) + 1
     for types in ({int}, {float}, {int, float}, {int, float, Fraction, Decimal}):
@@ -896,8 +927,8 @@ def pattern_exit_time(x, y, constraint):
 def allowed_class(constraint):
     if isinstance(constraint, SimplicialComplex):
         faces = face_set(constraint)
-        return lambda c: frozenset(c) in faces
-    return lambda c: len(c) < constraint
+        return lambda m: frozenset(elems_of(m)) in faces
+    return lambda m: len(elems_of(m)) < constraint
 
 
 def _random_complex(rng, n):
@@ -1014,7 +1045,7 @@ def test_collision_time_matches_the_fraction_solve():
      (-84083834879.875, -310428303359.875, -0.20793724060058594), 3, Fraction(1, 16)),
 ])
 def test_exit_time_examples(x, y, k, want):
-    assert exit_time(x, y, lambda c: len(c) < k) == want
+    assert exit_time(x, y, lambda m: len(elems_of(m)) < k) == want
     assert pattern_exit_time(x, y, k) == want
 
 

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from nokequal.preorder import (
     make_x,
     mask_of,
     parse_preorder,
+    set_bits,
     to_matrix,
     to_string_form,
 )
@@ -239,6 +242,29 @@ def test_enumeration_of_an_empty_degree_is_empty():
     # too few elements for the blocks: pruned at the root, not searched
     assert list(enumerate_basic(3, 12, 5)) == []
     assert list(enumerate_admissible(3, 12, 7)) == []
+
+
+def test_enumeration_of_a_degree_beyond_reach_returns_at_once():
+    # no d-tuple of block sizes is built for d blocks that cannot fit
+    t0 = time.perf_counter()
+    assert list(enumerate_basic(3, 5, 10 ** 18)) == []
+    assert list(enumerate_admissible(3, 5, 10 ** 18)) == []
+    assert time.perf_counter() - t0 < 1
+
+
+def test_set_bits_and_elems_of_match_a_shift_loop():
+    rng = random.Random(53)
+    masks = [0, 1, 2 ** 63, 2 ** 64 - 1,
+             *(rng.getrandbits(rng.randint(1, 200)) for _ in range(300))]
+    for mask in masks:
+        elements, rest, e = [], mask, 1
+        while rest:
+            if rest & 1:
+                elements.append(e)
+            rest >>= 1
+            e += 1
+        assert elems_of(mask) == elements, mask
+        assert list(set_bits(mask)) == [1 << (e - 1) for e in elements], mask
 
 
 def test_enumeration_sizes_match_counts():
