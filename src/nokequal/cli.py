@@ -5,10 +5,11 @@ computation. The oracle feasibility cap can be raised or lowered through
 the NOKEQUAL_MAX_ORACLE_DIM environment variable.
 
 json is imported only inside _load_json, which parses the JSON input of
-plan and check, and _cmd_plan, which prints JSON. Every other command
-(betti, normalize, cup, witness, zcl, oracle and table, --json included,
-as reports_to_json lays out its JSON itself) loads neither json nor
-fractions.
+plan and check, _cmd_plan, which prints JSON, and the report writer's
+escaping of a note that is not plain printable ASCII (today only a failure
+note holds one). Every other command (betti, normalize, cup, witness, zcl,
+oracle and table, --json included, as reports_to_json lays out its JSON
+itself) loads neither json nor fractions.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ class NotAPartition(InputError):
 
 
 class NotString(InputError):
-    """A relation matrix has no string form (classes not totally ordered)."""
+    """A relation matrix is not that of any string preorder."""
 
 
 class AmbientMismatch(InputError):

@@ -4,10 +4,12 @@ Closed forms come from the structure theory; the computational modules
 supply lower bounds with certificates (nonzero witness products). Reports
 record both and never pretend a computation established an upper bound.
 
-reports_to_json writes the fixed indent=2 layout of to_dict() itself and
-imports no json; csv and io are imported inside reports_to_csv, the only
-function that uses them: every CLI call imports this module, and at module
-top json and csv took about a third of `import nokequal`.
+reports_to_json writes the fixed indent=2 layout of to_dict() itself, and
+imports json only to escape a string that is not plain printable ASCII
+(today only a failure note holds one); csv and io are imported inside
+reports_to_csv, the only function that uses them: every CLI call imports
+this module, and at module top json and csv took about a third of
+`import nokequal`.
 """
 
 from __future__ import annotations
@@ -169,29 +171,14 @@ def verify_range(k_range: Iterable[int], n_range: Iterable[int],
 
 
 def _json_string(text: str) -> str:
-    """text as a JSON string literal, escaped as json.dumps escapes it
-    (ensure_ascii): '"', backslash and the five short controls get their
-    short escapes, every other character outside printable ASCII (DEL
-    included) a lowercase \\uXXXX per UTF-16 code unit, so a character
-    beyond the BMP becomes a surrogate pair and a lone surrogate stays one
-    escape. Plain printable ASCII, the common case, is returned as it
-    is."""
+    """text as a JSON string literal, as json.dumps writes it. Plain
+    printable ASCII, the common case, is returned as it is, without loading
+    json; only a string that needs an escape imports it."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    import re
+    import json
 
-    short = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-             "\b": "\\b", "\f": "\\f"}
-
-    def escape(match: "re.Match[str]") -> str:
-        run = match.group()
-        if run[0] > "\x7f":
-            # a run of non-ASCII characters, as hex UTF-16 code units
-            units = run.encode("utf-16-be", "surrogatepass").hex("u", 2)
-            return "\\u" + units.replace("u", "\\u")
-        return short.get(run) or f"\\u{ord(run):04x}"
-
-    return '"' + re.sub('[^\\x00-\\x7f]+|[^ -~]|["\\\\]', escape, text) + '"'
+    return json.dumps(text)
 
 
 def _json_list(items: list[str], indent: str) -> str:

@@ -199,14 +199,15 @@ class Path(Record):
     def __init__(self, points: tuple[tuple[float, ...], ...]):
         if len(points) < 2:
             raise ParameterOutOfRange("a path needs at least 2 breakpoints")
-        dims = {len(p) for p in points}
-        if len(dims) != 1:
-            raise DimensionMismatch("breakpoints of mixed dimension")
+        dim = len(points[0])
+        for p in points:
+            if len(p) != dim:
+                raise DimensionMismatch("breakpoints of mixed dimension")
         _set(self, "points", points)
 
     @classmethod
     def through(cls, *points: Configuration) -> "Path":
-        return cls(tuple(tuple(p) for p in points))
+        return cls(tuple(map(tuple, points)))
 
     @property
     def start(self) -> tuple[float, ...]:

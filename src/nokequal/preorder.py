@@ -233,6 +233,8 @@ class RelationMatrix(Record):
         if len(rows) != n:
             raise AmbientMismatch("row count differs from n")
         for i, row in enumerate(rows):
+            if type(row) is not int or row >> n:
+                raise NotAPartition(f"row {i + 1} ({row!r:.24}) is not a mask of 1..{n}")
             if not row >> i & 1:
                 raise NotAPartition(f"relation not reflexive at {i + 1}")
         for i in range(n):
@@ -271,58 +273,25 @@ def to_matrix(p: StringPreorder) -> RelationMatrix:
 def to_string_form(r: RelationMatrix) -> StringPreorder:
     """Unique string form of a relation matrix, or raise NotString.
 
-    Classes of mutually related elements are layered by the number of
-    classes strictly below them; the matrix is string iff the layers are
-    totally ordered, layers of incomparable elements contain only
-    singleton classes, and every class of size >= 2 sits alone in its layer.
+    In a string preorder an element's successors are the higher levels plus
+    its own level if Full, or itself if Empty. So the elements of a level
+    have equal row sizes, larger than those of any level above it: the
+    groups of equal row size, in decreasing size, are the levels bottom to
+    top, and a group is Full iff one of its rows holds it. The candidate is
+    returned only if its matrix is r, so every other relation raises.
     """
-    n = r.n
-    # Equivalence classes of mutual relation.
-    class_of: dict[int, int] = {}
-    classes: list[int] = []
-    for i in range(n):
-        if i in class_of:
-            continue
-        cls = 0
-        for j in range(n):
-            if r.rows[i] >> j & 1 and r.rows[j] >> i & 1:
-                cls |= 1 << j
-                class_of[j] = len(classes)
-        classes.append(cls)
-
-    def strictly_below(a: int, b: int) -> bool:
-        ia = classes[a].bit_length() - 1
-        ib = classes[b].bit_length() - 1
-        return bool(r.rows[ia] >> ib & 1) and a != b
-
-    below_count = [sum(strictly_below(b, a) for b in range(len(classes)))
-                   for a in range(len(classes))]
-    layers: dict[int, list[int]] = {}
-    for c, cnt in enumerate(below_count):
-        layers.setdefault(cnt, []).append(c)
-    ordered = sorted(layers)
-    # Validate the layering.
-    for pos, cnt in enumerate(ordered):
-        members = layers[cnt]
-        for a, b in combinations(members, 2):
-            if strictly_below(a, b) or strictly_below(b, a):
-                raise NotString("incomparability is not transitive")
-        if len(members) > 1 and any(classes[c].bit_count() > 1 for c in members):
-            raise NotString("full class shares a height with another class")
-        for later_cnt in ordered[pos + 1:]:
-            for a in members:
-                for b in layers[later_cnt]:
-                    if not strictly_below(a, b):
-                        raise NotString("classes not totally ordered by height")
+    groups: dict[int, int] = {}
+    for i, row in enumerate(r.rows):
+        size = row.bit_count()
+        groups[size] = groups.get(size, 0) | 1 << i
     levels = []
-    for cnt in ordered:
-        members = layers[cnt]
-        mask = 0
-        for c in members:
-            mask |= classes[c]
-        full = len(members) == 1 and classes[members[0]].bit_count() > 1
-        levels.append((mask, full))
-    return make_preorder(n, levels)
+    for size in sorted(groups, reverse=True):
+        mask = groups[size]
+        levels.append((mask, r.rows[(mask & -mask).bit_length() - 1] & mask == mask))
+    candidate = make_preorder(r.n, levels)
+    if to_matrix(candidate).rows != r.rows:
+        raise NotString("relation is not that of a string preorder")
+    return candidate
 
 
 def compose(p: StringPreorder, q: StringPreorder) -> StringPreorder:

@@ -125,6 +125,63 @@ def test_non_string_matrix_rejected():
         to_string_form(RelationMatrix(3, rows))
 
 
+def test_relation_matrix_rejects_rows_that_are_not_masks():
+    for n, rows in [(1, (3,)), (1, (-1,)), (2, (1, 2.5))]:
+        with pytest.raises(NotAPartition):
+            RelationMatrix(n, rows)
+
+
+def string_preorders(n):
+    """Every string preorder on 1..n, each once: the ordered set partitions,
+    with each level of two or more elements Full or Empty."""
+    def rec(pool):
+        if not pool:
+            yield []
+            return
+        for level in _submasks(pool):
+            if not level:
+                continue
+            for full in (False, True) if level & (level - 1) else (False,):
+                for rest in rec(pool & ~level):
+                    yield [(level, full)] + rest
+
+    return [make_preorder(n, levels) for levels in rec((1 << n) - 1)]
+
+
+def test_string_form_is_exact_on_small_ambients():
+    # every string preorder with n <= 6 round-trips, and no two share a matrix
+    by_rows = {}
+    for n in range(1, 7):
+        for p in string_preorders(n):
+            rows = to_matrix(p).rows
+            assert to_string_form(RelationMatrix(n, rows)) == p
+            assert (n, rows) not in by_rows
+            by_rows[n, rows] = p
+    # every reflexive-transitive relation with n <= 4 gets the string
+    # preorder with its matrix, or NotString when there is none
+    relations = strings = 0
+    for n in range(1, 5):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for pattern in range(1 << len(pairs)):
+            rows = [1 << i for i in range(n)]
+            for t, (i, j) in enumerate(pairs):
+                if pattern >> t & 1:
+                    rows[i] |= 1 << j
+            try:
+                r = RelationMatrix(n, tuple(rows))
+            except NotAPartition:
+                continue  # not transitive
+            relations += 1
+            if (n, r.rows) in by_rows:
+                strings += 1
+                assert to_string_form(r) == by_rows[n, r.rows]
+            else:
+                with pytest.raises(NotString):
+                    to_string_form(r)
+    assert relations == 1 + 4 + 29 + 355  # the labelled preorders on n <= 4
+    assert strings == 1 + 4 + 20 + 138  # every string preorder on n <= 4
+
+
 def test_compose_merged_example():
     a = parse_preorder("[1,2](3)(4)")
     b = parse_preorder("(1)[2,3](4)")
